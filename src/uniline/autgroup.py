@@ -61,15 +61,6 @@ def _relation_index_sets(structure: FiniteStructure) -> list[frozenset[tuple[int
     ]
 
 
-def is_automorphism(structure: FiniteStructure, mapping: tuple[int, ...]) -> bool:
-    relations = _relation_index_sets(structure)
-    return all(
-        tuple(mapping[i] for i in tup) in relation
-        for relation in relations
-        for tup in relation
-    )
-
-
 def brute_force_automorphisms(structure: FiniteStructure) -> list[Permutation]:
     """All automorphisms by filtering every permutation of the universe."""
     size = structure.size()
@@ -81,30 +72,68 @@ def brute_force_automorphisms(structure: FiniteStructure) -> list[Permutation]:
     return found
 
 
+def _stable_colours(size: int, relations: list[frozenset[tuple[int, ...]]]) -> list[int]:
+    """Colour refinement: the coarsest equitable colouring of the positions.
+
+    A position's colour is refined by the multiset of relation tuples it
+    occurs in, each recorded as (relation, the coordinates it fills, the
+    colours of all coordinates), until the number of colours stops growing.
+    Every step uses only isomorphism-invariant data, so automorphisms
+    preserve the stable colours.
+    """
+    occurrences: list[list[tuple[int, tuple[int, ...], tuple[int, ...]]]] = [[] for _ in range(size)]
+    for rel_id, relation in enumerate(relations):
+        for tup in relation:
+            for pos in set(tup):
+                fills = tuple(k for k, i in enumerate(tup) if i == pos)
+                occurrences[pos].append((rel_id, fills, tup))
+    colours = [0] * size
+    count = 1
+    while True:
+        colour_of = colours.__getitem__
+        keys = [
+            (colours[pos], tuple(sorted([(r, fills, tuple(map(colour_of, tup))) for r, fills, tup in occurs])))
+            for pos, occurs in enumerate(occurrences)
+        ]
+        ranks: dict = {}
+        for key in keys:
+            ranks.setdefault(key, len(ranks))
+        if len(ranks) == count:
+            return colours
+        colours = [ranks[key] for key in keys]
+        count = len(ranks)
+        if count == size:
+            return colours
+
+
 def automorphisms(structure: FiniteStructure, size_cap: int = DEFAULT_SIZE_CAP) -> list[Permutation]:
     """The complete automorphism group, identity first, deterministic order."""
     size = structure.size()
     if size > size_cap:
         raise ResourceCapError(f"universe size {size} exceeds cap {size_cap}")
     relations = _relation_index_sets(structure)
-    # tuples touching each position, for incremental consistency checks
-    touching: list[list[tuple[int, frozenset, tuple[int, ...]]]] = [[] for _ in range(size)]
-    for rel_id, relation in enumerate(relations):
+    # tuples touching each position, for the backward consistency check, and
+    # tuples whose largest position is pos: positions are mapped in order, so
+    # these are exactly the tuples that mapping pos completes
+    touching: list[list[tuple[frozenset, tuple[int, ...]]]] = [[] for _ in range(size)]
+    closing: list[list[tuple[frozenset, tuple[int, ...]]]] = [[] for _ in range(size)]
+    for relation in relations:
         for tup in relation:
             for pos in set(tup):
-                touching[pos].append((rel_id, relation, tup))
+                touching[pos].append((relation, tup))
+            closing[max(tup)].append((relation, tup))
+    colours = _stable_colours(size, relations)
+    candidates = [[c for c in range(size) if colours[c] == colours[pos]] for pos in range(size)]
 
     image = [-1] * size
     preimage = [-1] * size
     found: list[Permutation] = []
 
     def consistent(pos: int) -> bool:
-        for _, relation, tup in touching[pos]:
-            if all(image[i] >= 0 for i in tup):
-                if tuple(image[i] for i in tup) not in relation:
-                    return False
-        target = image[pos]
-        for _, relation, tup in touching[target]:
+        for relation, tup in closing[pos]:
+            if tuple(image[i] for i in tup) not in relation:
+                return False
+        for relation, tup in touching[image[pos]]:
             if all(preimage[i] >= 0 for i in tup):
                 if tuple(preimage[i] for i in tup) not in relation:
                     return False
@@ -114,7 +143,7 @@ def automorphisms(structure: FiniteStructure, size_cap: int = DEFAULT_SIZE_CAP) 
         if pos == size:
             found.append(Permutation(tuple(image)))
             return
-        for candidate in range(size):
+        for candidate in candidates[pos]:
             if preimage[candidate] >= 0:
                 continue
             image[pos] = candidate

@@ -9,6 +9,7 @@ constant or function symbols, so every leaf is built from variables only.
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
@@ -455,7 +456,8 @@ def semantic_items(
     ``k + j`` beyond the bound are dropped; the stream then realizes exactly
     the truth tables of all closable formulas within the bound.  Order is
     deterministic: by layer, within a layer quantifiers first, then ``~ & |
-    ->`` by operand index.
+    ->`` by operand index.  A candidate whose table was already kept is
+    rejected first, and a formula is built only for a table that is kept.
     """
     axes = variable_axes(xs, pool)
     spc = tables.space(structure.size(), len(axes))
@@ -477,85 +479,83 @@ def semantic_items(
     opens: list[tuple[str, ...]] = []
     tabs: list[int] = []
     seen: set[int] = set()
+    full = spc.full
+    constant_along = spc.constant_along
+    pool_axes = [(v, axes[v]) for v in pool]
 
-    def consider(builder, table: int, layer: int, syn_free: frozenset[str]) -> SemanticItem | None:
-        if table in seen:
-            return None
-        open_vars = tuple(
-            v for v in pool if v in syn_free and not spc.constant_along(table, axes[v])
-        )
-        if layer + len(open_vars) > max_depth:
-            return None
+    def open_within_budget(table: int, layer: int, free: frozenset[str]) -> tuple[str, ...] | None:
+        """The pool variables a new table varies along, or None when closing
+        them off would exceed the depth bound (the table is then not kept)."""
+        open_vars = tuple([v for v, axis in pool_axes if v in free and not constant_along(table, axis)])
+        return None if layer + len(open_vars) > max_depth else open_vars
+
+    def keep(formula: Formula, table: int, layer: int, free: frozenset[str], open_vars) -> SemanticItem:
         seen.add(table)
-        formula = builder()
         formulas.append(formula)
         depths.append(layer)
-        frees.append(syn_free)
+        frees.append(free)
         opens.append(open_vars)
         tabs.append(table)
-        return SemanticItem(formula, table, layer, syn_free, open_vars)
+        return SemanticItem(formula, table, layer, free, open_vars)
 
     for atom in _atoms(structure.signature, xs + pool):
-        item = consider(lambda a=atom: a, atom_table(atom), 0, free_vars(atom))
-        if item:
-            yield item
+        table = atom_table(atom)
+        if table in seen:
+            continue
+        free = free_vars(atom)
+        open_vars = open_within_budget(table, 0, free)
+        if open_vars is not None:
+            yield keep(atom, table, 0, free, open_vars)
 
     for layer in range(1, max_depth + 1):
         count = len(formulas)
         prev = [i for i in range(count) if depths[i] == layer - 1]
-        for quantifier, fold in (("exists", spc.exists), ("forall", spc.forall)):
-            ctor = Exists if quantifier == "exists" else Forall
+        for ctor, fold in ((Exists, spc.exists), (Forall, spc.forall)):
             for i in prev:
                 for var in opens[i]:
-                    item = consider(
-                        lambda c=ctor, v=var, k=i: c(v, formulas[k]),
-                        fold(tabs[i], axes[var]),
-                        layer,
-                        frees[i] - {var},
-                    )
-                    if item:
-                        yield item
+                    table = fold(tabs[i], axes[var])
+                    if table in seen:
+                        continue
+                    free = frees[i] - {var}
+                    open_vars = open_within_budget(table, layer, free)
+                    if open_vars is not None:
+                        yield keep(ctor(var, formulas[i]), table, layer, free, open_vars)
+        # tables lie within ``full``, so ``full ^ t`` is the negation of t
+        negs = [full ^ t for t in tabs[:count]]
         for i in prev:
-            item = consider(
-                lambda k=i: Not(formulas[k]), spc.negate(tabs[i]), layer, frees[i]
-            )
-            if item:
-                yield item
-        for ctor, combine in ((And, spc.conjoin), (Or, spc.disjoin)):
+            table = negs[i]
+            if table in seen:
+                continue
+            open_vars = open_within_budget(table, layer, frees[i])
+            if open_vars is not None:
+                yield keep(Not(formulas[i]), table, layer, frees[i], open_vars)
+        for ctor, combine in ((And, operator.and_), (Or, operator.or_)):
             for j in prev:
-                tab_j = tabs[j]
                 free_j = frees[j]
-                for i in range(j + 1):
-                    item = consider(
-                        lambda c=ctor, a=i, b=j: c(formulas[a], formulas[b]),
-                        combine(tabs[i], tab_j),
-                        layer,
-                        frees[i] | free_j,
-                    )
-                    if item:
-                        yield item
+                for i, table in enumerate(map(combine, tabs[: j + 1], itertools.repeat(tabs[j]))):
+                    if table in seen:
+                        continue
+                    free = frees[i] | free_j
+                    open_vars = open_within_budget(table, layer, free)
+                    if open_vars is not None:
+                        yield keep(ctor(formulas[i], formulas[j]), table, layer, free, open_vars)
         for j in prev:
-            tab_j = tabs[j]
             free_j = frees[j]
-            for i in range(count):
-                item = consider(
-                    lambda a=i, b=j: Implies(formulas[a], formulas[b]),
-                    spc.implication(tabs[i], tab_j),
-                    layer,
-                    frees[i] | free_j,
-                )
-                if item:
-                    yield item
+            for i, table in enumerate(map(operator.or_, negs, itertools.repeat(tabs[j]))):
+                if table in seen:
+                    continue
+                free = frees[i] | free_j
+                open_vars = open_within_budget(table, layer, free)
+                if open_vars is not None:
+                    yield keep(Implies(formulas[i], formulas[j]), table, layer, free, open_vars)
         shallow = [i for i in range(count) if depths[i] < layer - 1]
+        shallow_tabs = [tabs[j] for j in shallow]
         for i in prev:
-            tab_i = tabs[i]
             free_i = frees[i]
-            for j in shallow:
-                item = consider(
-                    lambda a=i, b=j: Implies(formulas[a], formulas[b]),
-                    spc.implication(tab_i, tabs[j]),
-                    layer,
-                    free_i | frees[j],
-                )
-                if item:
-                    yield item
+            for j, table in zip(shallow, map(operator.or_, itertools.repeat(negs[i]), shallow_tabs)):
+                if table in seen:
+                    continue
+                free = free_i | frees[j]
+                open_vars = open_within_budget(table, layer, free)
+                if open_vars is not None:
+                    yield keep(Implies(formulas[i], formulas[j]), table, layer, free, open_vars)

@@ -24,18 +24,3 @@ def rationals(rand: random.Random, count: int) -> list[Fraction]:
         for _ in range(count)
     ]
 
-
-def nonzero_rationals(rand: random.Random, count: int) -> list[Fraction]:
-    out: list[Fraction] = []
-    while len(out) < count:
-        value = rationals(rand, 1)[0]
-        if value != 0:
-            out.append(value)
-    return out
-
-
-def distinct_pair(rand: random.Random) -> tuple[Fraction, Fraction]:
-    while True:
-        a, b = rationals(rand, 2)
-        if a != b:
-            return a, b

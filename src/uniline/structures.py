@@ -185,7 +185,10 @@ def _parse_json(text: str) -> FiniteStructure:
         if key not in doc:
             raise StructureError(f"JSON structure missing key {key!r}")
     sig_obj = doc["signature"]
-    if not isinstance(sig_obj, dict) or not all(isinstance(v, int) for v in sig_obj.values()):
+    # bool is a subclass of int, but ``true`` is not an arity
+    if not isinstance(sig_obj, dict) or not all(
+        isinstance(v, int) and not isinstance(v, bool) for v in sig_obj.values()
+    ):
         raise StructureError("JSON 'signature' must map relation names to integer arities")
     signature = Signature(tuple(sig_obj.items()))
     universe = doc["universe"]
@@ -194,9 +197,13 @@ def _parse_json(text: str) -> FiniteStructure:
     rel_obj = doc["relations"]
     if not isinstance(rel_obj, dict):
         raise StructureError("JSON 'relations' must be an object")
-    for name in rel_obj:
+    for name, tuples in rel_obj.items():
         if name not in signature:
             raise StructureError(f"unknown relation {name!r} in 'relations'")
+        if not isinstance(tuples, list) or not all(
+            isinstance(t, list) and all(isinstance(e, str) for e in t) for t in tuples
+        ):
+            raise StructureError(f"JSON relation {name!r} must be a list of lists of strings")
     return FiniteStructure.build(signature, universe, rel_obj)
 
 
@@ -251,11 +258,9 @@ def _parse_text(text: str) -> FiniteStructure:
         if name not in signature:
             raise StructureError(f"unknown relation {name!r}", lineno)
         body = rest.strip()
-        consumed = "".join(_TUPLE_RE.findall(body))
         leftovers = _TUPLE_RE.sub("", body).strip()
         if leftovers:
             raise StructureError(f"unparsable relation entries {leftovers!r}", lineno)
-        del consumed
         for group in _TUPLE_RE.findall(body):
             parts = tuple(p.strip() for p in group.split(",")) if group.strip() else ()
             if not parts or any(not p for p in parts):

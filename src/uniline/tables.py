@@ -34,6 +34,9 @@ class AssignmentSpace:
         self._spread = [
             ((1 << (self.m * s)) - 1) // ((1 << s) - 1) for s in self._strides
         ]
+        # inner[i]: bits of all cells whose digit i is not the last value m-1,
+        # i.e. the cells that have a successor along axis i
+        self._inner = [self.full & ~masks[-1] for masks in self._axis_masks]
 
     def _build_axis_masks(self, axis: int) -> list[int]:
         s = self._strides[axis]
@@ -68,20 +71,6 @@ class AssignmentSpace:
             table |= self._axis_masks[axis_a][v] & self._axis_masks[axis_b][v]
         return table
 
-    # -- connectives ---------------------------------------------------------
-
-    def negate(self, table: int) -> int:
-        return self.full & ~table
-
-    def conjoin(self, a: int, b: int) -> int:
-        return a & b
-
-    def disjoin(self, a: int, b: int) -> int:
-        return a | b
-
-    def implication(self, a: int, b: int) -> int:
-        return (self.full & ~a) | b
-
     # -- quantifiers ----------------------------------------------------------
 
     def _slice0(self, table: int, axis: int) -> tuple[int, int]:
@@ -105,4 +94,5 @@ class AssignmentSpace:
         return all_bits * self._spread[axis]
 
     def constant_along(self, table: int, axis: int) -> bool:
-        return self.exists(table, axis) == table
+        """True when every cell agrees with its successor along the axis."""
+        return not ((table ^ (table >> self._strides[axis])) & self._inner[axis])

@@ -15,6 +15,7 @@ the two is the package's central cross-check.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import autgroup, tables
@@ -53,6 +54,25 @@ class UniformityVerdict:
     depth: int | None = None
 
 
+def _closed_instances(structure: FiniteStructure, n: int, depth: int) -> Iterator[tuple[Formula, int]]:
+    """(formula, table) of each schema instance the depth-bounded scan tests,
+    in enumeration order; leftover pool variables are closed off as described
+    in ``check_uniformity_schema``."""
+    xs = tuple(f"x{i}" for i in range(1, n + 1))
+    pool = tuple(f"y{i}" for i in range(1, depth + 1))
+    target = frozenset(xs)
+    for item in semantic_items(structure, xs, pool, depth):
+        if item.open_vars:
+            continue  # table still depends on a bound-pool variable
+        extra = item.free - target
+        if item.depth + len(extra) > depth:
+            continue
+        report: Formula = item.formula
+        for var in sorted(extra, reverse=True):
+            report = Exists(var, report)
+        yield report, item.table
+
+
 def check_uniformity_orbits(
     structure: FiniteStructure, n: int, size_cap: int = autgroup.DEFAULT_SIZE_CAP
 ) -> UniformityVerdict:
@@ -80,9 +100,6 @@ def check_uniformity_schema(structure: FiniteStructure, n: int, depth: int) -> U
         raise ValueError(f"n must be between 1 and {size}, got {n}")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    xs = tuple(f"x{i}" for i in range(1, n + 1))
-    pool = tuple(f"y{i}" for i in range(1, depth + 1))
-    target = frozenset(xs)
     spc = tables.space(size, n + depth)
 
     carrier = list(itertools.permutations(range(size), n))
@@ -90,20 +107,7 @@ def check_uniformity_schema(structure: FiniteStructure, n: int, depth: int) -> U
     cell = {t: spc.cell_index(t + pad) for t in carrier}
     arrangements = {t: [cell[p] for p in itertools.permutations(t)] for t in carrier}
 
-    for item in semantic_items(structure, xs, pool, depth):
-        if item.open_vars:
-            continue  # table still depends on a bound-pool variable
-        extra = item.free - target
-        if not extra:
-            report: Formula = item.formula
-        else:
-            # leftover pool variables are vacuous; close them off for the report
-            if item.depth + len(extra) > depth:
-                continue
-            report = item.formula
-            for var in sorted(extra, reverse=True):
-                report = Exists(var, report)
-        table = item.table
+    for report, table in _closed_instances(structure, n, depth):
         witness = None
         violating = None
         for t in carrier:
@@ -139,27 +143,12 @@ def distinguishing_formula(
         raise ValueError("subsets must consist of distinct elements")
     if set(first_pos) == set(second_pos):
         return None
-    xs = tuple(f"x{i}" for i in range(1, n + 1))
-    pool = tuple(f"y{i}" for i in range(1, max_depth + 1))
-    target = frozenset(xs)
     spc = tables.space(structure.size(), n + max_depth)
     pad = (0,) * max_depth
     first_cells = [spc.cell_index(p + pad) for p in itertools.permutations(first_pos)]
     second_cells = [spc.cell_index(p + pad) for p in itertools.permutations(second_pos)]
 
-    for item in semantic_items(structure, xs, pool, max_depth):
-        if item.open_vars:
-            continue
-        extra = item.free - target
-        if extra:
-            if item.depth + len(extra) > max_depth:
-                continue
-            report: Formula = item.formula
-            for var in sorted(extra, reverse=True):
-                report = Exists(var, report)
-        else:
-            report = item.formula
-        table = item.table
+    for report, table in _closed_instances(structure, n, max_depth):
         if any((table >> c) & 1 for c in first_cells) and not any(
             (table >> c) & 1 for c in second_cells
         ):

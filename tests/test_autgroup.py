@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -55,6 +56,43 @@ def test_optimized_equals_brute_force(chain3, cycle3, empty4):
     for structure in structures:
         assert automorphisms(structure) == brute_force_automorphisms(structure)
         assert automorphisms(structure) == oracle_group(structure)
+
+
+def random_mixed_structure(rng: random.Random) -> FiniteStructure:
+    """Two relations of arities drawn from 1-3 on 1-6 elements.
+
+    Half the time the tuples are closed under the powers of a random
+    permutation, which is then an automorphism, so large groups and
+    non-trivial colour classes occur often."""
+    size = rng.randint(1, 6)
+    universe = [f"u{i}" for i in range(size)]
+    arities = [rng.randint(1, 3) for _ in range(2)]
+    shift = list(range(size))
+    if rng.random() < 0.5:
+        rng.shuffle(shift)
+    relations = {}
+    for name, arity in zip(("p", "q"), arities):
+        tuples = set()
+        for _ in range(rng.randint(0, 4)):
+            tup = tuple(rng.randrange(size) for _ in range(arity))
+            for _ in range(size):
+                tuples.add(tup)
+                tup = tuple(shift[i] for i in tup)
+        relations[name] = [tuple(universe[i] for i in tup) for tup in tuples]
+    signature = Signature((("p", arities[0]), ("q", arities[1])))
+    return FiniteStructure.build(signature, universe, relations)
+
+
+def test_mixed_arity_signatures_equal_brute_force():
+    rng = random.Random(2024)
+    nontrivial = 0
+    for _ in range(300):
+        structure = random_mixed_structure(rng)
+        group = automorphisms(structure)
+        assert group == brute_force_automorphisms(structure)
+        assert group[0] == Permutation.identity(structure.size())
+        nontrivial += len(group) > 1
+    assert nontrivial >= 100
 
 
 def test_group_axioms(cycle3, empty4):

@@ -62,6 +62,22 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "error" in result.records[0]
 
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"signature": {"e": 2}, "universe": ["a", "b"], "relations": {"e": 5}},
+            {"signature": {"e": 2}, "universe": ["a", "b"], "relations": {"e": ["ab"]}},
+            {"signature": {"e": True}, "universe": ["a"], "relations": {}},
+        ],
+        ids=["relation-not-a-list", "tuple-as-string", "boolean-arity"],
+    )
+    def test_malformed_json_shape_exits_two(self, tmp_path, document):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        code, records = machine(["structure", "parse", "--structure", str(path)])
+        assert code == 2
+        assert "error" in records[0]
+
     def test_missing_file_exits_two(self):
         assert run(["structure", "parse", "--structure", "/nonexistent"]).exit_code == 2
 
