@@ -10,6 +10,8 @@ output is byte-identical across runs for identical arguments and seed.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import re
 import sys
@@ -29,6 +31,7 @@ class CommandResult:
     exit_code: int
     lines: list[str]
     records: list[dict]
+    machine: bool = False
 
 
 def _rat(value: Fraction) -> str:
@@ -47,8 +50,22 @@ def _load_structure(path: str):
     return parse_structure(text)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reads ``--option=--`` as the value "--", which argparse 3.11 turns into []."""
+
+    def _get_values(self, action, arg_strings):
+        if arg_strings == ["--"] and action.nargs is None:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
+
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="uniline", description=__doc__)
+    """Built once per process, on the first ``run``; each parse still
+    returns a fresh namespace."""
+    parser = _ArgumentParser(prog="uniline", description=__doc__)
     parser.add_argument("--format", choices=("text", "machine"), default="text")
     parser.add_argument("--seed", type=int, default=sampling.DEFAULT_SEED)
     commands = parser.add_subparsers(dest="command", required=True)
@@ -137,16 +154,17 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> CommandResult:
-    parser = _parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return CommandResult(2 if exc.code else 0, [], [])
     try:
-        return _dispatch(args)
-    except (ValueError, ZeroDivisionError, KeyError, autgroup.ResourceCapError) as exc:
+        result = _dispatch(args)
+    except (ValueError, ZeroDivisionError, autgroup.ResourceCapError) as exc:
         record = {"schema_version": SCHEMA_VERSION, "command": args.command, "error": str(exc)}
-        return CommandResult(2, [f"error: {exc}"], [record])
+        result = CommandResult(2, [f"error: {exc}"], [record])
+    result.machine = args.format == "machine"
+    return result
 
 
 def _dispatch(args) -> CommandResult:
@@ -307,11 +325,15 @@ def _localization(zero: str, one: str) -> fieldgen.Localization:
 
 
 class _ExprParser:
-    """Arithmetic over the localized field: + - * / ( ) and rational literals."""
+    """Arithmetic over the localized field: + - * / ( ) and rational literals,
+    with parentheses and unary minus nested at most ``MAX_NESTING`` deep."""
+
+    MAX_NESTING = 100
 
     def __init__(self, text: str, loc: fieldgen.Localization):
         self.tokens = self._tokenize(text)
         self.index = 0
+        self.nesting = 0
         self.loc = loc
 
     @staticmethod
@@ -361,14 +383,19 @@ class _ExprParser:
 
     def factor(self) -> Fraction:
         token = self.take()
+        if token not in ("(", "-"):
+            return Fraction(token)
+        self.nesting += 1
+        if self.nesting > self.MAX_NESTING:
+            raise ValueError(f"expression nested deeper than {self.MAX_NESTING}")
         if token == "(":
             value = self.expr()
             if self.take() != ")":
                 raise ValueError("unbalanced parentheses")
-            return value
-        if token == "-":
-            return fieldgen.loc_neg(self.loc, self.factor())
-        return Fraction(token)
+        else:
+            value = fieldgen.loc_neg(self.loc, self.factor())
+        self.nesting -= 1
+        return value
 
 
 def _cmd_field(args) -> CommandResult:
@@ -402,23 +429,10 @@ def _cmd_field(args) -> CommandResult:
         first = _localization(args.zero1, args.one1)
         second = _localization(args.zero2, args.one2)
         iso = fieldgen.localization_iso(first, second)
-        rng = sampling.rng(args.seed)
-        failures = []
-        for _ in range(args.samples):
-            x, y = sampling.rationals(rng, 2)
-            if iso(fieldgen.loc_add(first, x, y)) != fieldgen.loc_add(second, iso(x), iso(y)):
-                failures.append(("add", x, y))
-                break
-            if iso(fieldgen.loc_mul(first, x, y)) != fieldgen.loc_mul(second, iso(x), iso(y)):
-                failures.append(("mul", x, y))
-                break
-        payload = {
-            "iso": str(iso),
-            "samples": args.samples,
-            "homomorphism": not failures,
-        }
-        if failures:
-            op, x, y = failures[0]
+        failure = fieldgen.homomorphism_failure(first, second, iso)
+        payload = {"iso": str(iso), "samples": args.samples, "homomorphism": failure is None}
+        if failure:
+            op, x, y = failure
             payload["witness"] = {"op": op, "x": _rat(x), "y": _rat(y)}
             return _result(args, 1, [f"iso {iso} fails {op} at ({_rat(x)}, {_rat(y)})"], payload)
         return _result(args, 0, [f"iso: {iso} (verified on {args.samples} samples)"], payload)
@@ -447,15 +461,8 @@ def _sample_triples(count: int, seed: int) -> list[tuple]:
     while len(triples) < count:
         raw = sampling.rationals(rand, 3)
         points = [cyclic.INFINITY if (rand.random() < 0.15 and i == 2) else raw[i] for i in range(3)]
-        distinct = []
-        for p in points:
-            if not any(
-                (cyclic.is_infinite(p) and cyclic.is_infinite(q)) or (not cyclic.is_infinite(p) and not cyclic.is_infinite(q) and p == q)
-                for q in distinct
-            ):
-                distinct.append(p)
-        if len(distinct) == 3:
-            triples.append(tuple(distinct))
+        if not any(cyclic.same_point(p, q) for p, q in itertools.combinations(points, 2)):
+            triples.append(tuple(points))
     return triples
 
 
@@ -596,19 +603,9 @@ def render_output(result: CommandResult, machine: bool) -> str:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    result = run(argv)
-    sys.stdout.write(render_output(result, _wants_machine(argv)))
+    result = run(sys.argv[1:] if argv is None else argv)
+    sys.stdout.write(render_output(result, result.machine))
     return result.exit_code
-
-
-def _wants_machine(argv: list[str]) -> bool:
-    for i, arg in enumerate(argv):
-        if arg == "--format" and i + 1 < len(argv):
-            return argv[i + 1] == "machine"
-        if arg.startswith("--format="):
-            return arg.split("=", 1)[1] == "machine"
-    return False
 
 
 if __name__ == "__main__":

@@ -52,7 +52,7 @@ def format_proj_point(point: ProjPoint) -> str:
 
 def cyclic_orient(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> bool:
     """Positive orientation of a triple of distinct projective points."""
-    if _same_point(p, q) or _same_point(q, r) or _same_point(p, r):
+    if same_point(p, q) or same_point(q, r) or same_point(p, r):
         raise ValueError("cyclic orientation requires pairwise-distinct points")
     if is_infinite(r):
         return p < q
@@ -72,9 +72,9 @@ class LinearizedOrder:
 
     def precedes(self, x: ProjPoint, y: ProjPoint) -> bool:
         for point in (x, y):
-            if _same_point(point, self.cut):
+            if same_point(point, self.cut):
                 raise ValueError("cannot compare the cut point with itself")
-        if _same_point(x, y):
+        if same_point(x, y):
             return False
         return cyclic_orient(self.cut, x, y)
 
@@ -89,7 +89,7 @@ class LinearizedOrder:
         return out
 
 
-def _same_point(a: ProjPoint, b: ProjPoint) -> bool:
+def same_point(a: ProjPoint, b: ProjPoint) -> bool:
     if is_infinite(a) or is_infinite(b):
         return is_infinite(a) and is_infinite(b)
     return a == b

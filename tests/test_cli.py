@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from uniline.cli import render_output, run
+from uniline import cli, fieldgen
+from uniline.cli import main, render_output, run
+from uniline.ordline import AffineMap
 
 CHAIN3_TEXT = """\
 signature
@@ -96,8 +100,6 @@ class TestExitCodes:
         assert records[0]["witness"] == "sq-lt 2"
 
     def test_exit_one_certificates_reverify(self, chain3_file):
-        from fractions import Fraction
-
         from uniline.formulas import evaluate, parse_formula
         from uniline.ordline import parse_affine
         from uniline.structures import parse_structure
@@ -266,3 +268,108 @@ class TestDeterminism:
         ]:
             _, records = machine(argv)
             assert all(r["schema_version"] == 1 for r in records)
+
+
+class TestCachedParser:
+    def test_parser_is_built_once(self):
+        run(["line", "classify", "--map", "x+1"])
+        assert cli._parser() is cli._parser()
+
+    def test_interleaved_commands_match_a_fresh_parser(self, chain3_file):
+        sequence = [
+            ["uniformity", "--structure", chain3_file, "--n", "1", "--depth=1"],
+            ["uniformity", "--structure", chain3_file, "--n", "1"],
+            ["field", "iso", "--bogus"],
+            ["--format", "machine", "cuts", "probe", "--cut", "lt:1/2", "--cut", "sq-lt:2"],
+            ["cuts", "probe", "--cut", "lt:1"],
+            ["--seed", "3", "cyclic", "mobius", "--map", "2,1,1,1"],
+            ["cyclic", "mobius", "--map", "2,1,1,1"],
+            ["field", "verify", "--zero", "1", "--one", "3"],
+            ["structure", "parse", "--structure", chain3_file, "--emit", "json"],
+            ["structure", "parse", "--structure", chain3_file],
+        ]
+        cached = [run(argv) for argv in sequence]
+        fresh = []
+        for argv in sequence:
+            cli._parser.cache_clear()
+            fresh.append(run(argv))
+        assert cached == fresh
+        assert cached[1].records[0]["results"][0]["depth"] == 2
+        assert cached[2].exit_code == 2
+        assert len(cached[4].records[0]["results"]) == 1
+
+
+class TestMain:
+    @pytest.mark.parametrize("spelling", [["--format", "machine"], ["--format=machine"]])
+    def test_machine_format(self, capsys, spelling):
+        assert main(spelling + ["line", "classify", "--map", "x+1"]) == 0
+        assert json.loads(capsys.readouterr().out)["classification"] == "raising"
+
+    def test_text_format(self, capsys):
+        assert main(["line", "classify", "--map", "x+1"]) == 0
+        assert capsys.readouterr().out == "raising\n"
+
+    def test_parse_error_prints_nothing_to_stdout(self, capsys):
+        assert main(["--format=machine", "line", "classify"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--map" in captured.err
+
+
+OPTION_COMMANDS = {
+    "field-expression": lambda text: ["field", "eval", "--zero", "0", "--one", "1", f"--expr={text}"],
+    "affine-map": lambda text: ["line", "classify", f"--map={text}"],
+    "projective-point": lambda text: ["cyclic", "orient", f"--points={text}"],
+    "cut-spec": lambda text: ["cuts", "probe", f"--cut={text}", "--bound", "1000"],
+    "rational-set": lambda text: ["cuts", "rays", f"--set={text}"],
+}
+OPTION_TEXT = st.text() | st.text(alphabet="0123456789/+-*() ,:.xinf-lqst", max_size=40)
+
+
+class TestExitContract:
+    @pytest.mark.parametrize("kind", OPTION_COMMANDS)
+    @given(text=OPTION_TEXT)
+    @example(text="--")
+    @example(text="(" * 200 + "1" + ")" * 200)
+    @example(text="-" * 2000 + "1")
+    def test_any_option_text(self, kind, text):
+        result = run(OPTION_COMMANDS[kind](text))
+        assert result.exit_code in (0, 1, 2)
+        if result.exit_code == 2:
+            assert "error" in result.records[0]
+
+    def test_deep_expression_is_bad_input(self):
+        code, records = machine(
+            ["field", "eval", "--zero", "0", "--one", "1", "--expr=" + "(" * 101 + "1" + ")" * 101]
+        )
+        assert code == 2
+        assert "nested deeper than 100" in records[0]["error"]
+        nested = "(" * 99 + "-1" + ")" * 99
+        assert run(["field", "eval", "--zero", "0", "--one", "1", f"--expr={nested}"]).lines == ["-1"]
+
+    def test_internal_key_error_is_not_bad_input(self, monkeypatch):
+        def broken(points):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli.cuts, "upper_set", broken)
+        with pytest.raises(KeyError):
+            run(["cuts", "rays", "--set", "1 2"])
+
+
+class TestFieldIso:
+    @pytest.mark.parametrize(
+        "wrong, op",
+        [(AffineMap(Fraction(2), Fraction(0)), "add"), (AffineMap(Fraction(3), Fraction(1)), "mul")],
+        ids=["breaks-add", "breaks-mul"],
+    )
+    def test_wrong_map_exits_one_with_rechecked_witness(self, monkeypatch, wrong, op):
+        monkeypatch.setattr(fieldgen, "localization_iso", lambda first, second: wrong)
+        code, records = machine(["field", "iso", "--zero1", "0", "--one1", "1", "--zero2", "1", "--one2", "3"])
+        assert code == 1
+        assert records[0]["homomorphism"] is False
+        witness = records[0]["witness"]
+        assert witness["op"] == op
+        first, second = fieldgen.Localization(0, 1), fieldgen.Localization(1, 3)
+        law = {"add": fieldgen.loc_add, "mul": fieldgen.loc_mul}[op]
+        x, y = Fraction(witness["x"]), Fraction(witness["y"])
+        assert wrong(law(first, x, y)) != law(second, wrong(x), wrong(y))

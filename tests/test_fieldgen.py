@@ -5,9 +5,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from uniline import fieldgen
 from uniline.fieldgen import (
     Localization,
     as_shift,
+    homomorphism_failure,
     loc_add,
     loc_div,
     loc_inv,
@@ -20,7 +22,7 @@ from uniline.fieldgen import (
     stretch_map,
     verify_field_axioms,
 )
-from uniline.ordline import Interval
+from uniline.ordline import AffineMap, Interval
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 localizations = st.builds(
@@ -131,6 +133,50 @@ class TestFieldReport:
     def test_sample_count_validated(self):
         with pytest.raises(ValueError):
             verify_field_axioms(L01, 0)
+
+
+class TestExactDecision:
+    def test_seed_and_sample_count_only_echoed(self):
+        first = verify_field_axioms(L13, 10, seed=1)
+        second = verify_field_axioms(L13, 5000, seed=2)
+        assert first.checks == second.checks
+        assert (first.sample_count, second.sample_count) == (10, 5000)
+
+    def test_broken_multiplication_caught_with_rechecked_counterexamples(self, monkeypatch):
+        def skewed(loc, x, y):
+            # degree 1 in each variable, like the real law, but not commutative
+            return loc_mul(loc, x, y) + (x - y)
+
+        monkeypatch.setattr(fieldgen, "loc_mul", skewed)
+        loc = L13
+        report = verify_field_axioms(loc)
+        failed = {check.name: check.counterexample for check in report.failed()}
+
+        def mul(x, y):
+            return skewed(loc, x, y)
+
+        laws = {
+            "mul_associative": lambda x, y, w: mul(mul(x, y), w) == mul(x, mul(y, w)),
+            "mul_commutative": lambda x, y, w: mul(x, y) == mul(y, x),
+            "mul_identity": lambda x, y, w: mul(loc.one, x) == x,
+            "mul_inverse": lambda x, y, w: mul(x, loc_inv(loc, x)) == loc.one,
+            "distributive": lambda x, y, w: mul(x, loc_add(loc, y, w))
+            == loc_add(loc, mul(x, y), mul(x, w)),
+        }
+        assert "mul_commutative" in failed
+        assert set(failed) <= set(laws)
+        for name, triple in failed.items():
+            assert len(triple) == 3 and loc.zero not in triple
+            assert not laws[name](*triple), name
+
+    def test_correct_iso_has_no_failure(self):
+        assert homomorphism_failure(L01, L13, localization_iso(L01, L13)) is None
+
+    def test_wrong_iso_fails_on_the_grid(self):
+        wrong = AffineMap(Fraction(3), Fraction(1))
+        op, x, y = homomorphism_failure(L01, L13, wrong)
+        assert op == "mul"
+        assert wrong(loc_mul(L01, x, y)) != loc_mul(L13, wrong(x), wrong(y))
 
 
 class TestLocalizationIso:
