@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import re
 import sys
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from . import autgroup, cuts, cyclic, fieldgen, ordline, sampling, uniformity
+from . import autgroup, cuts, cyclic, fieldgen, ordline, uniformity
 from .formulas import render_formula
 from .structures import StructureError, parse_structure, render_structure, render_structure_json
 
@@ -67,7 +66,7 @@ def _parser() -> argparse.ArgumentParser:
     returns a fresh namespace."""
     parser = _ArgumentParser(prog="uniline", description=__doc__)
     parser.add_argument("--format", choices=("text", "machine"), default="text")
-    parser.add_argument("--seed", type=int, default=sampling.DEFAULT_SEED)
+    parser.add_argument("--seed", type=int, default=0)
     commands = parser.add_subparsers(dest="command", required=True)
 
     structure = commands.add_parser("structure").add_subparsers(dest="action", required=True)
@@ -428,6 +427,8 @@ def _cmd_field(args) -> CommandResult:
     if args.action == "iso":
         first = _localization(args.zero1, args.one1)
         second = _localization(args.zero2, args.one2)
+        if args.samples < 1:
+            raise ValueError("sample_count must be >= 1")
         iso = fieldgen.localization_iso(first, second)
         failure = fieldgen.homomorphism_failure(first, second, iso)
         payload = {"iso": str(iso), "samples": args.samples, "homomorphism": failure is None}
@@ -453,17 +454,6 @@ def _cmd_field(args) -> CommandResult:
 
 def _proj_points(text: str) -> list:
     return [cyclic.parse_proj_point(part) for part in text.split(",") if part.strip()]
-
-
-def _sample_triples(count: int, seed: int) -> list[tuple]:
-    rand = sampling.rng(seed)
-    triples = []
-    while len(triples) < count:
-        raw = sampling.rationals(rand, 3)
-        points = [cyclic.INFINITY if (rand.random() < 0.15 and i == 2) else raw[i] for i in range(3)]
-        if not any(cyclic.same_point(p, q) for p, q in itertools.combinations(points, 2)):
-            triples.append(tuple(points))
-    return triples
 
 
 def _cmd_cyclic(args) -> CommandResult:
@@ -495,8 +485,10 @@ def _cmd_cyclic(args) -> CommandResult:
     if len(coefficients) != 4:
         raise ValueError("mobius map requires four coefficients a,b,c,d")
     m = cyclic.MobiusMap(*coefficients)
-    triples = _sample_triples(args.triples, args.seed)
-    verdict = cyclic.mobius_orientation(m, triples)
+    if args.triples < 1:
+        raise ValueError("at least one sample triple is required")
+    # a Möbius map preserves every cyclic orientation or reverses every one
+    verdict = cyclic.mobius_orientation(m, [(Fraction(0), Fraction(1), cyclic.INFINITY)])
     det = m.determinant()
     payload = {
         "map": [_rat(c) for c in coefficients],

@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .ordline import AffineMap, Interval, Shift
-from . import sampling
 
 
 @dataclass(frozen=True)
@@ -195,7 +194,6 @@ class OrderReport:
     positives_closed_add: AxiomCheck
     positives_closed_mul: AxiomCheck
     negation_reverses: AxiomCheck
-    sample_count: int
 
     def all_passed(self) -> bool:
         return (
@@ -205,44 +203,56 @@ class OrderReport:
         )
 
 
-def order_compatibility(loc: Localization, sample_count: int = 1000, seed: int = 0) -> OrderReport:
-    """Positivity and sign-reversal checks for a positively oriented localization.
+def _positive_failure(loc: Localization, law) -> tuple[Fraction, Fraction] | None:
+    """A pair of positives that ``law`` does not send to a positive, or None.
+
+    h(s, t) = law(z+s, z+t) - z has degree at most 1 in each of s and t, so
+    h = a + b*s + c*t + d*s*t with the coefficients read off {0, 1}^2, and
+    h > 0 for all s, t > 0 exactly when a, b, c and d are >= 0 and not all
+    zero.  For a negative coefficient k, with e = |k| / (2 * the sum of the
+    |coefficients|), h < 0 at (e, e), (1/e, e), (e, 1/e) or (1/e, 1/e) when
+    k is a, b, c or d.
+    """
+    z = loc.zero
+
+    def h(s, t):
+        return law(loc, z + s, z + t) - z
+
+    a = h(0, 0)
+    b = h(1, 0) - a
+    c = h(0, 1) - a
+    d = h(1, 1) - a - b - c
+    coefficients = (a, b, c, d)
+    if min(coefficients) >= 0 and any(coefficients):
+        return None
+    total = sum(abs(k) for k in coefficients)
+    for k, (s, t) in zip(coefficients, ((1, 1), (-1, 1), (1, -1), (-1, -1))):
+        if k < 0:
+            e = -k / (2 * total)
+            return z + e**s, z + e**t
+    return z + 1, z + 1  # h is identically zero
+
+
+def order_compatibility(loc: Localization) -> OrderReport:
+    """Positivity and sign-reversal laws for a positively oriented localization.
 
     The positives are the points above the localized zero; they must be
     closed under the localized addition and multiplication.  Multiplying by
     the additive inverse of the unit must reverse the order (an order
-    anti-isomorphism).
+    anti-isomorphism).  All three are decided exactly, each failure with a
+    pair that fails again when evaluated: the closure laws by
+    ``_positive_failure``, and the reversal by the pair (z, z+1), z the
+    localized zero, since multiplying by a fixed point is affine.
     """
     if loc.one <= loc.zero:
         raise ValueError("order checks require a positively oriented localization (one > zero)")
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
-    rng = sampling.rng(seed)
-    z = loc.zero
     neg_one = loc_neg(loc, loc.one)
-
-    def positive_pair():
-        x, y = sampling.rationals(rng, 2)
-        return z + abs(x - z) + 1, z + abs(y - z) + 1
-
-    closed_add = None
-    closed_mul = None
-    reverses = None
-    for _ in range(sample_count):
-        p, q = positive_pair()
-        if closed_add is None and loc_add(loc, p, q) <= z:
-            closed_add = (p, q)
-        if closed_mul is None and loc_mul(loc, p, q) <= z:
-            closed_mul = (p, q)
-        x, y = sampling.rationals(rng, 2)
-        if x == y:
-            y = y + 1
-        lo, hi = min(x, y), max(x, y)
-        if reverses is None and not loc_mul(loc, neg_one, lo) > loc_mul(loc, neg_one, hi):
-            reverses = (lo, hi)
+    closed_add = _positive_failure(loc, loc_add)
+    closed_mul = _positive_failure(loc, loc_mul)
+    lo, hi = loc.zero, loc.zero + 1
+    reverses = None if loc_mul(loc, neg_one, lo) > loc_mul(loc, neg_one, hi) else (lo, hi)
     return OrderReport(
         AxiomCheck("positives_closed_add", closed_add is None, closed_add),
         AxiomCheck("positives_closed_mul", closed_mul is None, closed_mul),
         AxiomCheck("negation_reverses", reverses is None, reverses),
-        sample_count,
     )

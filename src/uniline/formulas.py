@@ -144,8 +144,16 @@ _KEYWORDS = {"forall", "exists"}
 
 
 class _Parser:
+    """Recursive descent over the formula grammar, with quantifiers, ``~``,
+    parentheses and the right operands of ``->`` and ``<->`` nested at most
+    ``MAX_NESTING`` deep.  A parenthesis level takes nine Python frames, so
+    the limit keeps a parse well inside the default recursion limit of 1000."""
+
+    MAX_NESTING = 50
+
     def __init__(self, text: str, signature: Signature):
         self.signature = signature
+        self.nesting = 0
         self.tokens: list[str] = []
         pos = 0
         while pos < len(text):
@@ -173,12 +181,20 @@ class _Parser:
         if got != token:
             raise FormulaError(f"expected {token!r}, got {got!r}")
 
+    def nested(self, parse) -> Formula:
+        self.nesting += 1
+        if self.nesting > self.MAX_NESTING:
+            raise FormulaError(f"formula nested deeper than {self.MAX_NESTING}")
+        result = parse()
+        self.nesting -= 1
+        return result
+
     def formula(self) -> Formula:
         if self.peek() in _KEYWORDS:
             keyword = self.take()
             var = self.variable()
             self.expect(".")
-            body = self.formula()
+            body = self.nested(self.formula)
             return Exists(var, body) if keyword == "exists" else Forall(var, body)
         return self.iff()
 
@@ -186,7 +202,7 @@ class _Parser:
         left = self.implication()
         if self.peek() == "<->":
             self.take()
-            right = self.iff()
+            right = self.nested(self.iff)
             # biconditional is sugar, not a primitive node
             return And(Implies(left, right), Implies(right, left))
         return left
@@ -195,7 +211,7 @@ class _Parser:
         left = self.disjunction()
         if self.peek() == "->":
             self.take()
-            return Implies(left, self.implication())
+            return Implies(left, self.nested(self.implication))
         return left
 
     def disjunction(self) -> Formula:
@@ -215,13 +231,13 @@ class _Parser:
     def negation(self) -> Formula:
         if self.peek() == "~":
             self.take()
-            return Not(self.negation())
+            return Not(self.nested(self.negation))
         return self.atom()
 
     def atom(self) -> Formula:
         token = self.take()
         if token == "(":
-            inner = self.formula()
+            inner = self.nested(self.formula)
             self.expect(")")
             return inner
         if not _is_name(token):

@@ -211,55 +211,26 @@ class ConstructWitness:
 class ConstructReport:
     preserves: bool
     witness: ConstructWitness | None
-    samples_checked: int
 
 
-def preserves_construct(
-    g: AffineMap, f: AffineMap, samples: list[Fraction] | None = None
-) -> ConstructReport:
+def preserves_construct(g: AffineMap, f: AffineMap) -> ConstructReport:
     """Does g map f's graph {(x, f(x))} onto itself?
 
     Decided exactly: the transformed graph {(g(x), g(f(x)))} lies on f's
-    graph for all x iff g∘f = f∘g as affine identities.  Samples only
-    furnish a concrete witness when the identity fails.
+    graph for all x iff g∘f = f∘g as affine identities.  The two composites
+    have the same slope, so when they differ they differ at every point, and
+    x = 0 is the witness.
     """
-    if samples is None:
-        samples = default_sample_points()
-    if not samples:
-        raise ValueError("samples must be non-empty")
-    holds = commutes(f, g)
-    if holds:
-        return ConstructReport(True, None, len(samples))
-    for x in samples:
-        if g(f(x)) != f(g(x)):
-            return ConstructReport(False, ConstructWitness(x, (g(x), g(f(x))), f(g(x))), len(samples))
-    # affine maps differing as identities differ on all but one point
-    x = _disagreement_point(f, g)
-    return ConstructReport(False, ConstructWitness(x, (g(x), g(f(x))), f(g(x))), len(samples))
-
-
-def _disagreement_point(f: AffineMap, g: AffineMap) -> Fraction:
-    fg = f.compose(g)
-    gf = g.compose(f)
-    for x in (Fraction(0), Fraction(1)):
-        if fg(x) != gf(x):
-            return x
-    raise AssertionError("maps agree at 0 and 1, hence everywhere")
-
-
-def default_sample_points(count: int = 100) -> list[Fraction]:
-    """A fixed, deterministic fan of rationals used for witness reporting."""
-    points = [Fraction(0)]
-    k = 0
-    while len(points) < count:
-        num = (-1) ** k * ((k // 4) + 1)
-        den = (k % 4) + 1
-        points.append(Fraction(num, den))
-        k += 1
-    return points[:count]
+    if commutes(f, g):
+        return ConstructReport(True, None)
+    x = Fraction(0)
+    return ConstructReport(False, ConstructWitness(x, (g(x), g(f(x))), f(g(x))))
 
 
 # --- tiling and measure -----------------------------------------------------------
+
+
+MAX_WINDOW = 10_000
 
 
 def tile_line(shift: Shift, base: Fraction, window: int) -> list[Interval]:
@@ -268,9 +239,12 @@ def tile_line(shift: Shift, base: Fraction, window: int) -> list[Interval]:
     For a lowering shift the endpoints of each tile are swapped so intervals
     stay well-formed.  Consecutive tiles share exactly one endpoint, so the
     family covers ``[shift^-window(base), shift^window(base))`` disjointly.
+    All 2*window tiles are built, so ``window`` is at most ``MAX_WINDOW``.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
+    if window > MAX_WINDOW:
+        raise ValueError(f"window must be <= {MAX_WINDOW}")
     if shift.is_identity():
         raise ValueError("degenerate tiling: identity shift")
     base = Fraction(base)

@@ -177,7 +177,7 @@ def parse_structure(text: str) -> FiniteStructure:
 def _parse_json(text: str) -> FiniteStructure:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also a number over 4300 digits, or deep nesting
         raise StructureError(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise StructureError("JSON structure must be an object")
@@ -237,9 +237,12 @@ def _parse_text(text: str) -> FiniteStructure:
             if "/" not in entry:
                 raise StructureError(f"expected name/arity, got {entry!r}", lineno)
             name, _, arity_text = entry.partition("/")
-            if not arity_text.isdigit():
-                raise StructureError(f"arity must be a positive integer in {entry!r}", lineno)
-            relations.append((name, int(arity_text)))
+            try:
+                if not arity_text.isdigit():
+                    raise ValueError
+                relations.append((name, int(arity_text)))
+            except ValueError:  # also a digit int() does not read ("²"), or over 4300 of them
+                raise StructureError(f"arity must be a positive integer in {entry!r}", lineno) from None
     try:
         signature = Signature(tuple(relations))
     except StructureError as exc:

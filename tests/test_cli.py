@@ -347,6 +347,30 @@ class TestExitContract:
         nested = "(" * 99 + "-1" + ")" * 99
         assert run(["field", "eval", "--zero", "0", "--one", "1", f"--expr={nested}"]).lines == ["-1"]
 
+    def test_tile_window_limit_is_bad_input(self):
+        code, records = machine(["line", "tile", "--shift", "1", "--base", "0", "--window=100000000"])
+        assert code == 2
+        assert records[0]["error"] == "window must be <= 10000"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["field", "verify", "--zero", "0", "--one", "1"], "sample_count must be >= 1"),
+            (
+                ["field", "iso", "--zero1", "0", "--one1", "1", "--zero2", "1", "--one2", "3"],
+                "sample_count must be >= 1",
+            ),
+            (["cyclic", "mobius", "--map", "2,1,1,1"], "at least one sample triple is required"),
+        ],
+        ids=["verify-samples", "iso-samples", "mobius-triples"],
+    )
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_echoed_counts_validated_alike(self, argv, message, count):
+        option = "--triples" if argv[0] == "cyclic" else "--samples"
+        code, records = machine(argv + [f"{option}={count}"])
+        assert code == 2
+        assert records[0]["error"] == message
+
     def test_internal_key_error_is_not_bad_input(self, monkeypatch):
         def broken(points):
             raise KeyError("internal")

@@ -252,11 +252,11 @@ class TestStretch:
 
 class TestOrderCompatibility:
     def test_standard(self):
-        report = order_compatibility(L01, 200)
+        report = order_compatibility(L01)
         assert report.all_passed()
 
     def test_shifted(self):
-        report = order_compatibility(L13, 200)
+        report = order_compatibility(L13)
         assert report.all_passed()
 
     def test_sign_reversal_example(self):
@@ -270,7 +270,50 @@ class TestOrderCompatibility:
 
     def test_requires_positive_orientation(self):
         with pytest.raises(ValueError, match="positively oriented"):
-            order_compatibility(Localization(Fraction(1), Fraction(0)), 10)
+            order_compatibility(Localization(Fraction(1), Fraction(0)))
+
+    @pytest.mark.parametrize(
+        "mutant",
+        [
+            lambda loc, x, y: loc_mul(loc, x, y) - 1,
+            lambda loc, x, y: loc_mul(loc, x, y) - 5 * (x - loc.zero),
+            lambda loc, x, y: loc_mul(loc, x, y) - 5 * (y - loc.zero),
+            lambda loc, x, y: loc_neg(loc, loc_mul(loc, x, y)),
+            lambda loc, x, y: loc.zero,
+        ],
+        ids=["constant", "s-term", "t-term", "st-term", "zero"],
+    )
+    def test_non_positive_multiplication_caught_with_rechecked_pair(self, monkeypatch, mutant):
+        monkeypatch.setattr(fieldgen, "loc_mul", mutant)
+        report = order_compatibility(L13)
+        check = report.positives_closed_mul
+        assert not check.passed
+        p, q = check.counterexample
+        assert p > L13.zero and q > L13.zero
+        assert mutant(L13, p, q) <= L13.zero
+        assert report.positives_closed_add.passed
+
+    def test_order_preserving_negation_caught(self, monkeypatch):
+        monkeypatch.setattr(fieldgen, "loc_neg", lambda loc, x: x)
+        check = order_compatibility(L13).negation_reverses
+        assert not check.passed
+        lo, hi = check.counterexample
+        assert lo < hi and not loc_mul(L13, L13.one, lo) > loc_mul(L13, L13.one, hi)
+
+    @given(st.tuples(rationals, rationals, rationals, rationals))
+    def test_bilinear_laws_decided_exactly(self, coefficients):
+        a, b, c, d = coefficients
+        z = L13.zero
+
+        def law(loc, x, y):
+            s, t = x - z, y - z
+            return z + a + b * s + c * t + d * s * t
+
+        pair = fieldgen._positive_failure(L13, law)
+        assert (pair is None) == (min(coefficients) >= 0 and any(coefficients))
+        if pair is not None:
+            assert min(pair) > z
+            assert law(L13, *pair) <= z
 
     @given(localizations, rationals, rationals)
     def test_negated_unit_reverses_order(self, loc, p, q):

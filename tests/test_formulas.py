@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from uniline.formulas import (
     And,
@@ -77,6 +78,53 @@ class TestParsing:
             parse_formula("lt(x,,y)", SIG)
         with pytest.raises(FormulaError):
             parse_formula("exists . lt(x,y)", SIG)
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize(
+        "prefix, suffix",
+        [("(", ")"), ("~", ""), ("forall x. ", ""), ("x = y -> ", "")],
+        ids=["parentheses", "negation", "quantifier", "implication"],
+    )
+    def test_deep_nesting_is_a_formula_error(self, prefix, suffix):
+        def nested(k):
+            return prefix * k + "lt(x,y)" + suffix * k
+
+        formula = parse_formula(nested(50), SIG)
+        assert parse_formula(render_formula(formula), SIG) == formula
+        for k in (51, 3000):
+            with pytest.raises(FormulaError, match="nested deeper than 50"):
+                parse_formula(nested(k), SIG)
+
+
+NAMES = st.sampled_from(["x", "y", "z"])
+ATOMS = st.builds(lambda a, b: Atom("lt", (a, b)), NAMES, NAMES) | st.builds(Equal, NAMES, NAMES)
+FORMULAS = st.recursive(
+    ATOMS,
+    lambda sub: st.builds(Not, sub)
+    | st.builds(And, sub, sub)
+    | st.builds(Or, sub, sub)
+    | st.builds(Implies, sub, sub)
+    | st.builds(Exists, NAMES, sub)
+    | st.builds(Forall, NAMES, sub),
+    max_leaves=12,
+)
+TOKENS = ["lt", "gt", "(", ")", "x", "y", ",", "=", "~", "&", "|", "->", "<->", "exists", "forall", "."]
+FORMULA_TEXT = st.lists(st.sampled_from(TOKENS), max_size=30).map(" ".join) | st.text(max_size=60)
+
+
+class TestParserTotality:
+    @given(FORMULAS)
+    def test_rendered_formulas_parse_back(self, formula):
+        assert parse_formula(render_formula(formula), SIG) == formula
+
+    @given(FORMULA_TEXT)
+    def test_any_text_parses_and_round_trips_or_is_a_formula_error(self, text):
+        try:
+            formula = parse_formula(text, SIG)
+        except FormulaError:
+            return
+        assert parse_formula(render_formula(formula), SIG) == formula
 
 
 class TestRendering:

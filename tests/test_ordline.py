@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from uniline.ordline import (
     IDENTITY,
+    MAX_WINDOW,
     LOWERING,
     MIXED,
     RAISING,
@@ -15,7 +16,6 @@ from uniline.ordline import (
     Shift,
     classify_displacement,
     commutes,
-    default_sample_points,
     factor_through_shift,
     format_affine,
     format_rational,
@@ -140,6 +140,15 @@ class TestCommutation:
         assert report.witness.moved_pair == (Fraction(0), Fraction(2))
         assert report.witness.expected == Fraction(1)
 
+    @given(affine_maps, affine_maps)
+    def test_witness_at_zero_always_rechecks(self, f, g):
+        report = preserves_construct(g, f)
+        if not report.preserves:
+            w = report.witness
+            assert w.x == 0
+            assert w.moved_pair == (g(w.x), g(f(w.x)))
+            assert w.expected == f(g(w.x)) != w.moved_pair[1]
+
     def test_self_preservation(self):
         f = parse_affine("5*x - 3")
         assert preserves_construct(f, f).preserves
@@ -152,14 +161,6 @@ class TestCommutation:
         assert g(f(w.x)) == w.moved_pair[1]
         assert f(g(w.x)) == w.expected
         assert w.moved_pair[1] != w.expected
-
-    def test_samples_must_be_nonempty(self):
-        with pytest.raises(ValueError):
-            preserves_construct(parse_affine("x"), parse_affine("x"), samples=[])
-
-    def test_default_samples_deterministic(self):
-        assert default_sample_points() == default_sample_points()
-        assert len(default_sample_points()) == 100
 
 
 class TestTiling:
@@ -181,6 +182,11 @@ class TestTiling:
     def test_window_validated(self):
         with pytest.raises(ValueError):
             tile_line(Shift(Fraction(1)), Fraction(0), 0)
+
+    def test_window_limit(self):
+        with pytest.raises(ValueError, match="window must be <= 10000"):
+            tile_line(Shift(Fraction(1)), Fraction(0), MAX_WINDOW + 1)
+        assert len(tile_line(Shift(Fraction(1)), Fraction(0), MAX_WINDOW)) == 2 * MAX_WINDOW
 
     @given(st.builds(Shift, nonzero_rationals), rationals, st.integers(1, 40))
     def test_tiles_disjoint_and_adjacent(self, shift, base, window):

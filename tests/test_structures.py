@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import json
+
 import pytest
+from hypothesis import example, given, strategies as st
 
 from uniline.structures import (
     FiniteStructure,
@@ -113,3 +116,40 @@ def test_build_rejects_unknown_relation():
 def test_comments_and_blank_lines_ignored(chain3):
     noisy = "# header\n\n" + CHAIN3_TEXT.replace("universe", "# mid\nuniverse")
     assert parse_structure(noisy) == chain3
+
+
+NAMES = st.sampled_from(["a", "b", "c", "R", "lt", "x1", "_", "1a", "a b", "", "(a)", "²"])
+ARITIES = st.integers(-1, 3) | st.sampled_from([True, 1.5, "2", None])
+SECTION_LINES = st.sampled_from(
+    ["signature", "universe", "relations", "# note", "", "R/1", "lt/2 R/1", "R/0", "R/²", "R/x", "R",
+     "a b c", "a a", "R: (a)", "lt: (a,b) (b,c)", "lt: (a,,b)", "lt: ()", "lt: (a,b", "R: (z)", "S: (a)"]
+)
+STRUCTURE_TEXT = st.lists(SECTION_LINES, max_size=12).map("\n".join) | st.text(max_size=80)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 3) | NAMES,
+    lambda sub: st.lists(sub, max_size=3) | st.dictionaries(NAMES, sub, max_size=3),
+    max_leaves=8,
+)
+JSON_DOCUMENTS = st.fixed_dictionaries(
+    {
+        "signature": st.dictionaries(NAMES, ARITIES, max_size=3),
+        "universe": st.lists(NAMES, max_size=4),
+        "relations": st.dictionaries(NAMES, st.lists(st.lists(NAMES, max_size=3), max_size=3), max_size=3),
+    }
+) | st.dictionaries(st.sampled_from(["signature", "universe", "relations"]), JSON_VALUES)
+STRUCTURE_INPUT = STRUCTURE_TEXT | JSON_DOCUMENTS.map(json.dumps) | JSON_VALUES.map(json.dumps)
+
+
+@given(STRUCTURE_INPUT)
+@example("signature\n  R/" + "1" * 5000 + "\nuniverse\n  a\n")
+@example('{"signature": {"R": 1' + "0" * 5000 + '}, "universe": ["a"], "relations": {}}')
+@example('{"signature": ' + "[" * 100_000)
+def test_any_input_round_trips_or_is_a_structure_error(text):
+    try:
+        structure = parse_structure(text)
+    except StructureError:
+        return
+    rendered = render_structure(structure)
+    assert parse_structure(rendered) == structure
+    assert render_structure(parse_structure(rendered)) == rendered
+    assert parse_structure(render_structure_json(structure)) == structure
