@@ -1,135 +1,78 @@
 """Corpus of small directed graphs (one binary relation) up to isomorphism.
 
-Graphs are encoded as bitmasks over the ordered pairs of distinct vertices;
-canonical form is the minimum mask over all vertex permutations.  Sizes up to
-four are enumerated directly; size five is produced by extending the size-four
-canonical forms with a fifth vertex and deduplicating by canonical form, which
-reaches every isomorphism class.  Permuted masks are computed via precomputed
-byte lookup tables to keep size five fast.
+A graph on the vertices 0..size-1 is a bitmask over the ordered pairs (i, j),
+i != j, in row-major order.  Its canonical form is the least mask over all
+vertex permutations, and the corpus lists the canonical forms in increasing
+order.  The forms of size k come from those of size k-1: each is extended by
+a new vertex k-1 with every set of its 2(k-1) possible arcs.  That reaches
+every class, because deleting the last vertex of any k-vertex graph leaves a
+graph isomorphic to some form of size k-1; relabelling the first k-1
+vertices by that isomorphism turns the graph into one of the extensions.
+
+The image of a mask under a permutation is the OR of the images of its bits.
+So each base form and each arc set of the new vertex gets its list of images,
+one per permutation, built once, and an extension's canonical form is the
+least of the position-wise ORs of two such lists.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 
 from .structures import FiniteStructure, Signature
 
 RELATION = "e"
+# size 6 would try 9,608 x 1,024 extensions under 720 permutations each,
+# to find 1,540,944 classes
+MAX_SIZE = 5
+_SIGNATURE = Signature.of(e=2)
 
 
-def _pair_index(size: int) -> dict[tuple[int, int], int]:
-    pairs = [(i, j) for i in range(size) for j in range(size) if i != j]
-    return {pair: k for k, pair in enumerate(pairs)}
-
-
-@lru_cache(maxsize=None)
-def _perm_tables(size: int) -> list[list[list[int]]]:
-    """Per permutation, byte-indexed tables mapping mask chunks to permuted masks."""
-    index = _pair_index(size)
-    bit_count = len(index)
-    tables = []
-    for perm in itertools.permutations(range(size)):
-        moved = [0] * bit_count
-        for pair, position in index.items():
-            moved[position] = index[(perm[pair[0]], perm[pair[1]])]
-        chunk_tables = []
-        for chunk_start in range(0, bit_count, 8):
-            width = min(8, bit_count - chunk_start)
-            table = [0] * (1 << width)
-            for value in range(1 << width):
-                out = 0
-                for bit in range(width):
-                    if value >> bit & 1:
-                        out |= 1 << moved[chunk_start + bit]
-                table[value] = out
-            chunk_tables.append(table)
-        tables.append(chunk_tables)
-    return tables
-
-
-def _canonical(mask: int, size: int) -> int:
-    best = mask
-    for chunk_tables in _perm_tables(size):
-        image = 0
-        value = mask
-        for table in chunk_tables:
-            image |= table[value & 0xFF]
-            value >>= 8
-        if image < best:
-            best = image
-    return best
-
-
-def _mask_to_structure(mask: int, size: int) -> FiniteStructure:
-    index = _pair_index(size)
-    elements = [f"v{i}" for i in range(size)]
-    arcs = [
-        (elements[i], elements[j])
-        for (i, j), position in index.items()
-        if mask >> position & 1
-    ]
-    return FiniteStructure.build(Signature.of(e=2), elements, {RELATION: arcs})
-
-
-def digraphs_up_to_iso(size: int) -> list[FiniteStructure]:
-    """All loopless directed graphs on ``size`` vertices, one per isomorphism class."""
-    if size < 1:
-        raise ValueError("size must be >= 1")
-    bit_count = size * (size - 1)
-    if size <= 4:
-        canonical = sorted({_canonical(mask, size) for mask in range(1 << bit_count)})
-        return [_mask_to_structure(mask, size) for mask in canonical]
-    smaller = _canonical_masks(size - 1)
-    index = _pair_index(size)
-    new_vertex = size - 1
-    out_bits = [index[(new_vertex, j)] for j in range(size - 1)]
-    in_bits = [index[(j, new_vertex)] for j in range(size - 1)]
-    found: set[int] = set()
-    for base in smaller:
-        embedded = _embed(base, size - 1, size)
-        for out_mask in range(1 << (size - 1)):
-            partial = embedded
-            for j in range(size - 1):
-                if out_mask >> j & 1:
-                    partial |= 1 << out_bits[j]
-            for in_mask in range(1 << (size - 1)):
-                extended = partial
-                for j in range(size - 1):
-                    if in_mask >> j & 1:
-                        extended |= 1 << in_bits[j]
-                found.add(_canonical(extended, size))
-    return [_mask_to_structure(mask, size) for mask in sorted(found)]
+def _pairs(size: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(size) for j in range(size) if i != j]
 
 
 @lru_cache(maxsize=None)
 def _canonical_masks(size: int) -> tuple[int, ...]:
-    if size <= 4:
-        bit_count = size * (size - 1)
-        return tuple(sorted({_canonical(mask, size) for mask in range(1 << bit_count)}))
-    return tuple(
-        _structure_mask(structure) for structure in digraphs_up_to_iso(size)
-    )
+    if size == 1:
+        return (0,)
+    perms = list(itertools.permutations(range(size)))
+    index = {pair: k for k, pair in enumerate(_pairs(size))}
+    bit_images = {(i, j): [1 << index[p[i], p[j]] for p in perms] for i, j in index}
+
+    def images(pairs: list[tuple[int, int]], mask: int) -> list[int]:
+        out = [0] * len(perms)
+        for k, pair in enumerate(pairs):
+            if mask >> k & 1:
+                out = list(map(operator.or_, out, bit_images[pair]))
+        return out
+
+    new = size - 1
+    base_pairs = _pairs(new)
+    arcs = [(new, j) for j in range(new)] + [(j, new) for j in range(new)]
+    bases = [images(base_pairs, mask) for mask in _canonical_masks(new)]
+    extensions = [images(arcs, code) for code in range(1 << len(arcs))]
+    return tuple(sorted({
+        min(map(operator.or_, base, extension)) for base in bases for extension in extensions
+    }))
 
 
-def _structure_mask(structure: FiniteStructure) -> int:
-    size = structure.size()
-    index = _pair_index(size)
-    position = {element: i for i, element in enumerate(structure.universe)}
-    mask = 0
-    for tup in structure.tuples(RELATION):
-        mask |= 1 << index[(position[tup[0]], position[tup[1]])]
-    return mask
-
-
-def _embed(mask: int, small: int, large: int) -> int:
-    small_index = _pair_index(small)
-    large_index = _pair_index(large)
-    out = 0
-    for pair, position in small_index.items():
-        if mask >> position & 1:
-            out |= 1 << large_index[pair]
-    return out
+def digraphs_up_to_iso(size: int) -> list[FiniteStructure]:
+    """All loopless directed graphs on ``size`` vertices, one per isomorphism
+    class, by increasing canonical form; ``size`` is at most ``MAX_SIZE``."""
+    if size < 1:
+        raise ValueError("size must be >= 1")
+    if size > MAX_SIZE:
+        raise ValueError(f"size must be at most {MAX_SIZE}")
+    elements = tuple(f"v{i}" for i in range(size))
+    arcs = [(elements[i], elements[j]) for i, j in _pairs(size)]
+    structures = []
+    for mask in _canonical_masks(size):
+        tuples = frozenset(arc for k, arc in enumerate(arcs) if mask >> k & 1)
+        structures.append(FiniteStructure(_SIGNATURE, elements, ((RELATION, tuples),)))
+    return structures
 
 
 # --- crafted structures -----------------------------------------------------------
@@ -139,18 +82,18 @@ def chain(size: int) -> FiniteStructure:
     """Strict total order v0 < v1 < ... as the full transitive arc set."""
     elements = [f"v{i}" for i in range(size)]
     arcs = [(elements[i], elements[j]) for i in range(size) for j in range(size) if i < j]
-    return FiniteStructure.build(Signature.of(e=2), elements, {RELATION: arcs})
+    return FiniteStructure.build(_SIGNATURE, elements, {RELATION: arcs})
 
 
 def directed_cycle(size: int) -> FiniteStructure:
     elements = [f"v{i}" for i in range(size)]
     arcs = [(elements[i], elements[(i + 1) % size]) for i in range(size)]
-    return FiniteStructure.build(Signature.of(e=2), elements, {RELATION: arcs})
+    return FiniteStructure.build(_SIGNATURE, elements, {RELATION: arcs})
 
 
 def antichain(size: int) -> FiniteStructure:
     elements = [f"v{i}" for i in range(size)]
-    return FiniteStructure.build(Signature.of(e=2), elements, {})
+    return FiniteStructure.build(_SIGNATURE, elements, {})
 
 
 def disjoint_union(first: FiniteStructure, second: FiniteStructure) -> FiniteStructure:
@@ -158,7 +101,7 @@ def disjoint_union(first: FiniteStructure, second: FiniteStructure) -> FiniteStr
     arcs = [tuple(f"a_{e}" for e in t) for t in first.tuples(RELATION)] + [
         tuple(f"b_{e}" for e in t) for t in second.tuples(RELATION)
     ]
-    return FiniteStructure.build(Signature.of(e=2), elements, {RELATION: arcs})
+    return FiniteStructure.build(_SIGNATURE, elements, {RELATION: arcs})
 
 
 def crafted_structures() -> list[tuple[str, FiniteStructure]]:
@@ -204,4 +147,4 @@ def biclique_2_3() -> FiniteStructure:
     side_b = ["b0", "b1", "b2"]
     arcs = [(x, y) for x in side_a for y in side_b]
     arcs += [(y, x) for x in side_a for y in side_b]
-    return FiniteStructure.build(Signature.of(e=2), side_a + side_b, {RELATION: arcs})
+    return FiniteStructure.build(_SIGNATURE, side_a + side_b, {RELATION: arcs})

@@ -147,9 +147,12 @@ class _Parser:
     """Recursive descent over the formula grammar, with quantifiers, ``~``,
     parentheses and the right operands of ``->`` and ``<->`` nested at most
     ``MAX_NESTING`` deep.  A parenthesis level takes nine Python frames, so
-    the limit keeps a parse well inside the default recursion limit of 1000."""
+    the limit keeps a parse well inside the default recursion limit of 1000.
+    ``a <-> b`` is sugar that holds each operand twice, so k nested ``<->``
+    render and evaluate in time 2^k; a formula has at most ``MAX_IFF``."""
 
     MAX_NESTING = 50
+    MAX_IFF = 8
 
     def __init__(self, text: str, signature: Signature):
         self.signature = signature
@@ -164,6 +167,8 @@ class _Parser:
                 break
             self.tokens.append(match.group(1))
             pos = match.end()
+        if self.tokens.count("<->") > self.MAX_IFF:
+            raise FormulaError(f"formula has more than {self.MAX_IFF} '<->'")
         self.index = 0
 
     def peek(self) -> str | None:

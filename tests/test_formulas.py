@@ -97,6 +97,26 @@ class TestNestingLimit:
                 parse_formula(nested(k), SIG)
 
 
+class TestBiconditionalLimit:
+    """``<->`` copies both operands, so without the limit the 16-chain below
+    (199 characters) renders to 2,359,267 characters."""
+
+    @pytest.mark.parametrize(
+        "nest",
+        [
+            lambda k: " <-> ".join(["lt(x,y)"] * (k + 1)),
+            lambda k: "(" * k + "lt(x,y)" + " <-> lt(y,x))" * k,
+        ],
+        ids=["chained", "parenthesized"],
+    )
+    def test_more_than_eight_is_a_formula_error(self, nest):
+        formula = parse_formula(nest(8), SIG)
+        assert parse_formula(render_formula(formula), SIG) == formula
+        for k in (9, 16):
+            with pytest.raises(FormulaError, match="more than 8 '<->'"):
+                parse_formula(nest(k), SIG)
+
+
 NAMES = st.sampled_from(["x", "y", "z"])
 ATOMS = st.builds(lambda a, b: Atom("lt", (a, b)), NAMES, NAMES) | st.builds(Equal, NAMES, NAMES)
 FORMULAS = st.recursive(
