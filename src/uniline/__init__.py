@@ -15,7 +15,6 @@ from .autgroup import (
     Permutation,
     automorphisms,
     brute_force_automorphisms,
-    is_n_set_transitive,
     orbit_partition,
 )
 from .uniformity import (

@@ -5,6 +5,12 @@ relation-consistency pruning; ``brute_force_automorphisms`` filters all
 ``|U|!`` permutations and serves as the independent oracle in tests.  Both
 return the complete group in the same deterministic order (lexicographic by
 image sequence), so results are directly comparable.
+
+The search checks forward only: mapping position ``pos`` completes the
+tuples whose largest position is ``pos``, and each of their images must lie
+in the relation.  At a leaf the bijection therefore maps every finite
+relation into itself, and an injective map of a finite set into itself is
+onto, so no check of preimages is needed.
 """
 
 from __future__ import annotations
@@ -15,11 +21,11 @@ from dataclasses import dataclass
 
 from .structures import FiniteStructure
 
-DEFAULT_SIZE_CAP = 10
+MAX_SIZE = 10
 
 
 class ResourceCapError(RuntimeError):
-    """Universe too large for the configured automorphism search cap."""
+    """Universe larger than ``MAX_SIZE`` elements."""
 
 
 @dataclass(frozen=True)
@@ -53,18 +59,10 @@ class Permutation:
         return cls(tuple(range(size)))
 
 
-def _relation_index_sets(structure: FiniteStructure) -> list[frozenset[tuple[int, ...]]]:
-    position = {element: i for i, element in enumerate(structure.universe)}
-    return [
-        frozenset(tuple(position[e] for e in t) for t in tuples)
-        for _, tuples in structure.interpretation
-    ]
-
-
 def brute_force_automorphisms(structure: FiniteStructure) -> list[Permutation]:
     """All automorphisms by filtering every permutation of the universe."""
     size = structure.size()
-    relations = _relation_index_sets(structure)
+    relations = structure.relation_positions()
     found = []
     for mapping in itertools.permutations(range(size)):
         if all(tuple(mapping[i] for i in t) in rel for rel in relations for t in rel):
@@ -106,37 +104,29 @@ def _stable_colours(size: int, relations: list[frozenset[tuple[int, ...]]]) -> l
             return colours
 
 
-def automorphisms(structure: FiniteStructure, size_cap: int = DEFAULT_SIZE_CAP) -> list[Permutation]:
+def automorphisms(structure: FiniteStructure) -> list[Permutation]:
     """The complete automorphism group, identity first, deterministic order."""
     size = structure.size()
-    if size > size_cap:
-        raise ResourceCapError(f"universe size {size} exceeds cap {size_cap}")
-    relations = _relation_index_sets(structure)
-    # tuples touching each position, for the backward consistency check, and
+    if size > MAX_SIZE:
+        raise ResourceCapError(f"universe size {size} exceeds cap {MAX_SIZE}")
+    relations = structure.relation_positions()
     # tuples whose largest position is pos: positions are mapped in order, so
     # these are exactly the tuples that mapping pos completes
-    touching: list[list[tuple[frozenset, tuple[int, ...]]]] = [[] for _ in range(size)]
     closing: list[list[tuple[frozenset, tuple[int, ...]]]] = [[] for _ in range(size)]
     for relation in relations:
         for tup in relation:
-            for pos in set(tup):
-                touching[pos].append((relation, tup))
             closing[max(tup)].append((relation, tup))
     colours = _stable_colours(size, relations)
     candidates = [[c for c in range(size) if colours[c] == colours[pos]] for pos in range(size)]
 
     image = [-1] * size
-    preimage = [-1] * size
+    used = [False] * size
     found: list[Permutation] = []
 
     def consistent(pos: int) -> bool:
         for relation, tup in closing[pos]:
             if tuple(image[i] for i in tup) not in relation:
                 return False
-        for relation, tup in touching[image[pos]]:
-            if all(preimage[i] >= 0 for i in tup):
-                if tuple(preimage[i] for i in tup) not in relation:
-                    return False
         return True
 
     def extend(pos: int) -> None:
@@ -144,14 +134,14 @@ def automorphisms(structure: FiniteStructure, size_cap: int = DEFAULT_SIZE_CAP) 
             found.append(Permutation(tuple(image)))
             return
         for candidate in candidates[pos]:
-            if preimage[candidate] >= 0:
+            if used[candidate]:
                 continue
             image[pos] = candidate
-            preimage[candidate] = pos
+            used[candidate] = True
             if consistent(pos):
                 extend(pos + 1)
             image[pos] = -1
-            preimage[candidate] = -1
+            used[candidate] = False
 
     extend(0)
     return found
@@ -182,18 +172,13 @@ class OrbitPartition:
         raise KeyError(f"{member} is not in the partition carrier")
 
 
-def orbit_partition(
-    structure: FiniteStructure,
-    n: int,
-    mode: str = "subsets",
-    size_cap: int = DEFAULT_SIZE_CAP,
-) -> OrbitPartition:
+def orbit_partition(structure: FiniteStructure, n: int, mode: str = "subsets") -> OrbitPartition:
     if mode not in ("tuples", "subsets"):
         raise ValueError(f"mode must be 'tuples' or 'subsets', got {mode!r}")
     size = structure.size()
     if not 1 <= n <= size:
         raise ValueError(f"n must be between 1 and {size}, got {n}")
-    group = automorphisms(structure, size_cap=size_cap)
+    group = automorphisms(structure)
     if mode == "tuples":
         carrier = list(itertools.permutations(range(size), n))
     else:
@@ -212,12 +197,6 @@ def orbit_partition(
         remaining -= orbit
         classes.append(tuple(sorted(orbit)))
     return OrbitPartition(n, mode, tuple(classes))
-
-
-def is_n_set_transitive(structure: FiniteStructure, n: int, size_cap: int = DEFAULT_SIZE_CAP) -> bool:
-    """True when the group acts with a single orbit on n-subsets."""
-    partition = orbit_partition(structure, n, mode="subsets", size_cap=size_cap)
-    return partition.class_count() <= 1
 
 
 def elements_of(structure: FiniteStructure, positions: Iterable[int]) -> tuple[str, ...]:

@@ -182,33 +182,33 @@ class CutOracle:
             raise CutError(f"oracle {self.name!r}: lo must be strictly below hi")
 
 
-def oracle_lt(threshold: Fraction, name: str | None = None) -> CutOracle:
+def oracle_lt(threshold: Fraction) -> CutOracle:
     threshold = Fraction(threshold)
     return CutOracle(
-        name or f"lt {format_rational(threshold)}",
+        f"lt {format_rational(threshold)}",
         lambda q: q < threshold,
         threshold - 1,
         threshold + 1,
     )
 
 
-def oracle_le(threshold: Fraction, name: str | None = None) -> CutOracle:
+def oracle_le(threshold: Fraction) -> CutOracle:
     threshold = Fraction(threshold)
     return CutOracle(
-        name or f"le {format_rational(threshold)}",
+        f"le {format_rational(threshold)}",
         lambda q: q <= threshold,
         threshold - 1,
         threshold + 1,
     )
 
 
-def oracle_sq_lt(target: Fraction, name: str | None = None) -> CutOracle:
+def oracle_sq_lt(target: Fraction) -> CutOracle:
     """The lower class of the positive square root of ``target``."""
     target = Fraction(target)
     if target <= 0:
         raise CutError("sq-lt oracle requires a positive target")
     return CutOracle(
-        name or f"sq-lt {format_rational(target)}",
+        f"sq-lt {format_rational(target)}",
         lambda q: q < 0 or q * q < target,
         Fraction(0),
         target + 1,

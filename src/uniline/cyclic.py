@@ -10,6 +10,7 @@ linear order).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -79,14 +80,8 @@ class LinearizedOrder:
         return cyclic_orient(self.cut, x, y)
 
     def sort(self, points: list[ProjPoint]) -> list[ProjPoint]:
-        out = list(points)
-        # insertion sort: precedes() is a strict total order on the carrier
-        for i in range(1, len(out)):
-            j = i
-            while j > 0 and self.precedes(out[j], out[j - 1]):
-                out[j], out[j - 1] = out[j - 1], out[j]
-                j -= 1
-        return out
+        # sorted() is stable and asks only whether x < y, that is precedes(x, y)
+        return sorted(points, key=functools.cmp_to_key(lambda x, y: -1 if self.precedes(x, y) else 0))
 
 
 def same_point(a: ProjPoint, b: ProjPoint) -> bool:

@@ -457,10 +457,6 @@ class SemanticItem:
     open_vars: tuple[str, ...]
 
 
-def variable_axes(xs: tuple[str, ...], pool: tuple[str, ...]) -> dict[str, int]:
-    return {v: i for i, v in enumerate(xs + pool)}
-
-
 def semantic_items(
     structure: FiniteStructure,
     xs: tuple[str, ...],
@@ -480,13 +476,9 @@ def semantic_items(
     ->`` by operand index.  A candidate whose table was already kept is
     rejected first, and a formula is built only for a table that is kept.
     """
-    axes = variable_axes(xs, pool)
+    axes = {v: i for i, v in enumerate(xs + pool)}
     spc = tables.space(structure.size(), len(axes))
-    position = {element: i for i, element in enumerate(structure.universe)}
-    rel_tables: dict[str, frozenset[tuple[int, ...]]] = {
-        name: frozenset(tuple(position[e] for e in t) for t in structure.tuples(name))
-        for name in structure.signature.names()
-    }
+    rel_tables = dict(zip(structure.signature.names(), structure.relation_positions()))
 
     def atom_table(formula: Formula) -> int:
         if isinstance(formula, Atom):

@@ -13,8 +13,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-Rational = Fraction
-
 
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q" or an integer literal."""
@@ -75,12 +73,6 @@ class Shift:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "displacement", Fraction(self.displacement))
-
-    @classmethod
-    def from_affine(cls, affine: AffineMap) -> "Shift":
-        if affine.slope != 1:
-            raise ValueError(f"not a shift: slope {affine.slope} != 1")
-        return cls(affine.offset)
 
     def as_affine(self) -> AffineMap:
         return AffineMap(Fraction(1), self.displacement)

@@ -8,6 +8,8 @@ immutable values; every operation in this package treats them as such.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import re
 from collections.abc import Iterable, Mapping, Sequence
@@ -60,6 +62,22 @@ class Signature:
         return any(rel == name for rel, _ in self.relations)
 
 
+@functools.lru_cache(maxsize=64)
+def _universe_elements(universe: tuple[str, ...]) -> frozenset[str]:
+    """The elements of a valid universe.  Cached, because the corpus builds
+    thousands of structures over one universe tuple per size."""
+    if not universe:
+        raise StructureError("universe must be non-empty")
+    seen: set[str] = set()
+    for element in universe:
+        if not _IDENT_RE.match(element):
+            raise StructureError(f"invalid element identifier {element!r}")
+        if element in seen:
+            raise StructureError(f"duplicate universe element {element!r}")
+        seen.add(element)
+    return frozenset(seen)
+
+
 @dataclass(frozen=True)
 class FiniteStructure:
     """A finite universe with one tuple set per relation symbol.
@@ -75,28 +93,19 @@ class FiniteStructure:
     interpretation: tuple[tuple[str, frozenset[tuple[str, ...]]], ...]
 
     def __post_init__(self) -> None:
-        if not self.universe:
-            raise StructureError("universe must be non-empty")
-        seen: set[str] = set()
-        for element in self.universe:
-            if not _IDENT_RE.match(element):
-                raise StructureError(f"invalid element identifier {element!r}")
-            if element in seen:
-                raise StructureError(f"duplicate universe element {element!r}")
-            seen.add(element)
+        elements = _universe_elements(self.universe)
         names = [name for name, _ in self.interpretation]
         if names != list(self.signature.names()):
             raise StructureError("interpretation must list every signature relation once, in order")
-        for name, tuples in self.interpretation:
-            arity = self.signature.arity(name)
-            for tup in tuples:
-                if len(tup) != arity:
-                    raise StructureError(
-                        f"arity mismatch: relation {name!r} expects {arity}, got tuple {tup}"
-                    )
-                for element in tup:
-                    if element not in seen:
-                        raise StructureError(f"tuple for {name!r} references unknown element {element!r}")
+        # the least offender is named, so that the error does not depend on
+        # the iteration order of a frozenset
+        for (name, tuples), (_, arity) in zip(self.interpretation, self.signature.relations):
+            if not set(map(len, tuples)) <= {arity}:
+                tup = min(t for t in tuples if len(t) != arity)
+                raise StructureError(f"arity mismatch: relation {name!r} expects {arity}, got tuple {tup}")
+            unknown = set(itertools.chain.from_iterable(tuples)) - elements
+            if unknown:
+                raise StructureError(f"tuple for {name!r} references unknown element {min(unknown)!r}")
 
     @classmethod
     def build(
@@ -124,6 +133,14 @@ class FiniteStructure:
 
     def position(self, element: str) -> int:
         return self.universe.index(element)
+
+    def relation_positions(self) -> list[frozenset[tuple[int, ...]]]:
+        """Each relation's tuples as tuples of universe positions, in signature order."""
+        position = {element: i for i, element in enumerate(self.universe)}
+        return [
+            frozenset(tuple(position[e] for e in t) for t in tuples)
+            for _, tuples in self.interpretation
+        ]
 
     def size(self) -> int:
         return len(self.universe)
@@ -243,10 +260,7 @@ def _parse_text(text: str) -> FiniteStructure:
                 relations.append((name, int(arity_text)))
             except ValueError:  # also a digit int() does not read ("²"), or over 4300 of them
                 raise StructureError(f"arity must be a positive integer in {entry!r}", lineno) from None
-    try:
-        signature = Signature(tuple(relations))
-    except StructureError as exc:
-        raise StructureError(str(exc)) from None
+    signature = Signature(tuple(relations))
 
     universe: list[str] = []
     for lineno, line in sections["universe"]:
@@ -270,7 +284,4 @@ def _parse_text(text: str) -> FiniteStructure:
                 raise StructureError(f"malformed tuple ({group})", lineno)
             tuples.setdefault(name, []).append(parts)
 
-    try:
-        return FiniteStructure.build(signature, universe, tuples)
-    except StructureError as exc:
-        raise StructureError(str(exc)) from None
+    return FiniteStructure.build(signature, universe, tuples)

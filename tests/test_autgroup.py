@@ -10,10 +10,10 @@ from uniline.autgroup import (
     ResourceCapError,
     automorphisms,
     brute_force_automorphisms,
-    is_n_set_transitive,
     orbit_partition,
 )
 from uniline.structures import FiniteStructure, Signature
+from uniline.uniformity import check_uniformity_orbits
 
 
 def oracle_group(structure):
@@ -150,9 +150,9 @@ def test_orbit_carrier_covered(empty4):
 
 
 def test_n_set_transitive(chain3, cycle3, empty4):
-    assert is_n_set_transitive(empty4, 2) is True
-    assert is_n_set_transitive(chain3, 1) is False
-    assert is_n_set_transitive(cycle3, 1) is True
+    assert check_uniformity_orbits(empty4, 2).uniform is True
+    assert check_uniformity_orbits(chain3, 1).uniform is False
+    assert check_uniformity_orbits(cycle3, 1).uniform is True
 
 
 def test_orbit_range_validation(chain3):

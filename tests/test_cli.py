@@ -1,11 +1,16 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+import uniline
 from uniline import cli, fieldgen
 from uniline.cli import main, render_output, run
 from uniline.ordline import AffineMap
@@ -81,6 +86,12 @@ class TestExitCodes:
         code, records = machine(["structure", "parse", "--structure", str(path)])
         assert code == 2
         assert "error" in records[0]
+
+    @pytest.mark.parametrize("depth", ["5", "60"])
+    def test_depth_above_limit_exits_two(self, chain3_file, depth):
+        code, records = machine(["uniformity", "--structure", chain3_file, "--n", "1", "--depth", depth])
+        assert code == 2
+        assert records[0]["error"] == f"depth must be between 0 and 4, got {depth}"
 
     def test_missing_file_exits_two(self):
         assert run(["structure", "parse", "--structure", "/nonexistent"]).exit_code == 2
@@ -260,6 +271,22 @@ class TestDeterminism:
         second = run(["--seed", "7"] + argv)
         assert render_output(first, machine=True) == render_output(second, machine=True)
         assert first.exit_code == second.exit_code
+
+    def test_input_error_independent_of_hash_seed(self, tmp_path):
+        # several bad tuples: the reported one must not follow string hashing
+        path = tmp_path / "bad.txt"
+        path.write_text(CHAIN3_TEXT.replace("(a,b) (b,c) (a,c)", "(a,d) (b,e) (c,f) (a,g)"), encoding="utf-8")
+        argv = [sys.executable, "-m", "uniline.cli", "--format", "machine", "structure", "parse",
+                "--structure", str(path)]
+        src = str(Path(uniline.__file__).resolve().parent.parent)
+        outputs = set()
+        for seed in range(1, 7):
+            env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+            done = subprocess.run(argv, env=env, capture_output=True, check=False)
+            assert done.returncode == 2
+            outputs.add(done.stdout)
+        assert len(outputs) == 1
+        assert json.loads(outputs.pop())["error"] == "tuple for 'lt' references unknown element 'd'"
 
     def test_records_carry_schema_version(self, chain3_file):
         for argv in [

@@ -17,6 +17,7 @@ from uniline.cyclic import (
     linearize_at,
     mobius_orientation,
     parse_proj_point,
+    same_point,
 )
 
 rationals = st.fractions(min_value=-30, max_value=30, max_denominator=12)
@@ -105,6 +106,30 @@ class TestLinearize:
         order = linearize_at(Fraction(0))
         out = order.sort([Fraction(2), Fraction(-1), Fraction(1)])
         assert out == [Fraction(1), Fraction(2), Fraction(-1)]
+
+    @given(
+        st.sampled_from(SAMPLE_POINTS),
+        st.lists(st.sampled_from(SAMPLE_POINTS) | rationals, max_size=30),
+    )
+    def test_sort_is_stable_and_ordered(self, cut, drawn):
+        # fresh objects, so that equal points can be told apart by identity
+        points = [p if is_infinite(p) else Fraction(p.numerator, p.denominator) for p in drawn]
+        points = [p for p in points if not same_point(p, cut)]
+        order = linearize_at(cut)
+        remaining = list(range(len(points)))
+        indices = []
+        for q in order.sort(points):
+            i = next(i for i in remaining if points[i] is q)
+            remaining.remove(i)
+            indices.append(i)
+        assert not remaining
+        for i, j in zip(indices, indices[1:]):
+            assert not order.precedes(points[j], points[i])
+            if same_point(points[i], points[j]):
+                assert i < j
+        if points:
+            with pytest.raises(ValueError):
+                order.sort(points + [cut])
 
     def test_cut_point_rejected(self):
         order = linearize_at(Fraction(0))

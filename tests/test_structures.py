@@ -46,6 +46,15 @@ def test_unknown_element_rejected():
         parse_structure(bad)
 
 
+def test_least_offender_named():
+    wrong_arity = CHAIN3_TEXT.replace("(a,b) (b,c) (a,c)", "(c,a,b) (b,c) (b,a,c) (c)")
+    with pytest.raises(StructureError, match=r"got tuple \('b', 'a', 'c'\)"):
+        parse_structure(wrong_arity)
+    unknown = CHAIN3_TEXT.replace("(a,b) (b,c) (a,c)", "(a,z) (y,b) (x,w)")
+    with pytest.raises(StructureError, match="unknown element 'w'"):
+        parse_structure(unknown)
+
+
 def test_duplicate_universe_element_rejected():
     bad = CHAIN3_TEXT.replace("a b c", "a b b")
     with pytest.raises(StructureError, match="duplicate universe element"):

@@ -18,6 +18,7 @@ from uniline.formulas import (
 )
 from uniline.structures import FiniteStructure, Signature
 from uniline.uniformity import (
+    MAX_DEPTH,
     OrbitCounterexample,
     SchemaCounterexample,
     check_uniformity_orbits,
@@ -184,6 +185,12 @@ class TestSchema:
         with pytest.raises(ValueError):
             check_uniformity_schema(chain2, 1, -1)
 
+    @pytest.mark.parametrize("depth", [5, 60])
+    def test_depth_limit(self, chain2, depth):
+        assert MAX_DEPTH == 4
+        with pytest.raises(ValueError, match=f"between 0 and 4, got {depth}"):
+            check_uniformity_schema(chain2, 1, depth)
+
 
 class TestOrbits:
     def test_chain3_counterexample(self, chain3):
@@ -269,6 +276,11 @@ class TestDistinguishing:
     def test_size_mismatch(self, chain3):
         with pytest.raises(ValueError, match="same size"):
             distinguishing_formula(chain3, ("a",), ("a", "b"), 2)
+
+    @pytest.mark.parametrize("depth", [-1, 5, 60])
+    def test_depth_limit(self, chain2, depth):
+        with pytest.raises(ValueError, match=f"between 0 and 4, got {depth}"):
+            distinguishing_formula(chain2, ("a",), ("b",), depth)
 
     def test_pair_subsets(self, chain3):
         formula = distinguishing_formula(chain3, ("a", "b"), ("a", "c"), 2)
