@@ -50,7 +50,14 @@ def _load_structure(path: str):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Reads ``--option=--`` as the value "--", which argparse 3.11 turns into []."""
+    """Reads ``--option=--`` as the value "--", which argparse 3.11 turns into [],
+    and any argument with a single leading ``-`` as a value, such as
+    ``--zero -1/2``: every option except ``-h`` starts with ``--``, and
+    ``-h`` is matched before this check."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(?!-)")
 
     def _get_values(self, action, arg_strings):
         if arg_strings == ["--"] and action.nargs is None:

@@ -12,7 +12,8 @@ strictly inside: the boundary is either an endpoint (a principal cut, found
 via a one-sided infinite run) or lies strictly between two consecutive
 representable mediants (a gap at that precision).  Runs in one direction are
 searched exponentially, so a boundary with denominator ``q`` is pinned after
-roughly ``log``-many oracle queries per continued-fraction coefficient.
+roughly ``log``-many oracle queries per continued-fraction coefficient.  The
+oracle is a Python callable, so it answers every query.
 """
 
 from __future__ import annotations
@@ -164,16 +165,13 @@ def galois_closure_check(points: Iterable[Fraction]) -> GaloisReport:
 class CutOracle:
     """Decidable membership in a downward-closed set of rationals.
 
-    ``lo`` must be a member and ``hi`` a non-member; ``total`` declares the
-    predicate decidable everywhere, which licenses gap verdicts (otherwise
-    exhausting the bound yields only "unresolved").
+    ``lo`` must be a member and ``hi`` a non-member.
     """
 
     name: str
     member: Callable[[Fraction], bool] = field(compare=False)
     lo: Fraction
     hi: Fraction
-    total: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "lo", Fraction(self.lo))
@@ -217,16 +215,15 @@ def oracle_sq_lt(target: Fraction) -> CutOracle:
 
 PRINCIPAL = "principal"
 GAP = "gap"
-UNRESOLVED = "unresolved"
 
 
 @dataclass(frozen=True)
 class CutClass:
     """Verdict of a bounded-precision cut classification.
 
-    ``principal`` carries the boundary point; ``gap`` and ``unresolved``
-    carry the final bracketing pair, between which the boundary is trapped
-    with no rational of denominator within the bound in between.
+    ``principal`` carries the boundary point; ``gap`` carries the final
+    bracketing pair, between which the boundary is trapped with no rational
+    of denominator within the bound in between.
     """
 
     kind: str
@@ -279,8 +276,7 @@ def classify_cut(oracle: CutOracle, denominator_bound: int) -> CutClass:
     endpoint as the boundary; the verdict is principal when that endpoint's
     denominator is within the reporting bound.  Flips on both sides past the
     cap leave the boundary strictly between two consecutive mediants with no
-    representable rational in between: a gap (when the oracle is declared
-    total) or unresolved.
+    representable rational in between: a gap.
     """
     if denominator_bound < 1:
         raise CutError("denominator bound must be >= 1")
@@ -297,37 +293,22 @@ def classify_cut(oracle: CutOracle, denominator_bound: int) -> CutClass:
         low, high = (-1, 0), (0, 1)
 
     while low[1] + high[1] <= cap:
-        mediant = (low[0] + high[0], low[1] + high[1])
-        if probe(_value(mediant)):
-            # ascend: low moves toward high through low + k*high
-            outcome, k = _run(probe, low, high, True, cap)
-            if outcome == "flip":
-                low = (low[0] + (k - 1) * high[0], low[1] + (k - 1) * high[1])
-                high = (low[0] + high[0], low[1] + high[1])
-            else:
-                final_low = (low[0] + k * high[0], low[1] + k * high[1])
-                if high[1] <= denominator_bound:
-                    return CutClass(PRINCIPAL, denominator_bound, point=_value(high))
-                return _exhausted(oracle, denominator_bound, final_low, high)
+        member = probe(_value((low[0] + high[0], low[1] + high[1])))
+        # one step for both directions: the end on the mediant's side (low
+        # for a member, high otherwise) moves toward far through near + k*far
+        near, far = (low, high) if member else (high, low)
+        outcome, k = _run(probe, near, far, member, cap)
+        if outcome == "flip":
+            near = (near[0] + (k - 1) * far[0], near[1] + (k - 1) * far[1])
+            far = (near[0] + far[0], near[1] + far[1])
+        elif far[1] <= denominator_bound:
+            return CutClass(PRINCIPAL, denominator_bound, point=_value(far))
         else:
-            # descend: high moves toward low through high + k*low
-            outcome, k = _run(probe, high, low, False, cap)
-            if outcome == "flip":
-                high = (high[0] + (k - 1) * low[0], high[1] + (k - 1) * low[1])
-                low = (low[0] + high[0], low[1] + high[1])
-            else:
-                final_high = (high[0] + k * low[0], high[1] + k * low[1])
-                if low[1] <= denominator_bound:
-                    return CutClass(PRINCIPAL, denominator_bound, point=_value(low))
-                return _exhausted(oracle, denominator_bound, low, final_high)
-    return _exhausted(oracle, denominator_bound, low, high)
-
-
-def _exhausted(
-    oracle: CutOracle, bound: int, low: tuple[int, int], high: tuple[int, int]
-) -> CutClass:
-    bracket = (_value(low), _value(high))
-    return CutClass(GAP if oracle.total else UNRESOLVED, bound, bracket=bracket)
+            near = (near[0] + k * far[0], near[1] + k * far[1])
+        low, high = (near, far) if member else (far, near)
+        if outcome == "all":
+            break
+    return CutClass(GAP, denominator_bound, bracket=(_value(low), _value(high)))
 
 
 def _run(
@@ -383,7 +364,6 @@ def _run(
 
 CONNECTED_EVIDENCE = "connected-evidence"
 DISCONNECTED = "disconnected"
-INCONCLUSIVE = "inconclusive"
 
 
 @dataclass(frozen=True)
@@ -397,24 +377,18 @@ def connectivity_probe(oracles: Iterable[CutOracle], denominator_bound: int) -> 
     """Classify a family of cuts; any gap witnesses a disconnection.
 
     All-principal families are evidence of connectedness relative to the
-    family and the bound only, never a proof.  Unresolved cuts (from
-    non-total oracles) make the probe inconclusive unless a gap appears.
+    family and the bound only, never a proof.
     """
     oracles = list(oracles)
     if not oracles:
         raise CutError("connectivity probe requires at least one oracle")
     results = []
     witness = None
-    saw_unresolved = False
     for oracle in oracles:
         verdict = classify_cut(oracle, denominator_bound)
         results.append((oracle.name, verdict))
         if verdict.kind == GAP and witness is None:
             witness = oracle.name
-        if verdict.kind == UNRESOLVED:
-            saw_unresolved = True
     if witness is not None:
         return ProbeReport(DISCONNECTED, tuple(results), witness)
-    if saw_unresolved:
-        return ProbeReport(INCONCLUSIVE, tuple(results))
     return ProbeReport(CONNECTED_EVIDENCE, tuple(results))

@@ -9,7 +9,6 @@ constant or function symbols, so every leaf is built from variables only.
 from __future__ import annotations
 
 import itertools
-import operator
 import re
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
@@ -542,33 +541,20 @@ def semantic_items(
             open_vars = open_within_budget(table, layer, frees[i])
             if open_vars is not None:
                 yield keep(Not(formulas[i]), table, layer, frees[i], open_vars)
-        for ctor, combine in ((And, operator.and_), (Or, operator.or_)):
-            for j in prev:
-                free_j = frees[j]
-                for i, table in enumerate(map(combine, tabs[: j + 1], itertools.repeat(tabs[j]))):
-                    if table in seen:
-                        continue
-                    free = frees[i] | free_j
-                    open_vars = open_within_budget(table, layer, free)
-                    if open_vars is not None:
-                        yield keep(ctor(formulas[i], formulas[j]), table, layer, free, open_vars)
-        for j in prev:
-            free_j = frees[j]
-            for i, table in enumerate(map(operator.or_, negs, itertools.repeat(tabs[j]))):
-                if table in seen:
-                    continue
-                free = frees[i] | free_j
-                open_vars = open_within_budget(table, layer, free)
-                if open_vars is not None:
-                    yield keep(Implies(formulas[i], formulas[j]), table, layer, free, open_vars)
         shallow = [i for i in range(count) if depths[i] < layer - 1]
-        shallow_tabs = [tabs[j] for j in shallow]
-        for i in prev:
-            free_i = frees[i]
-            for j, table in zip(shallow, map(operator.or_, itertools.repeat(negs[i]), shallow_tabs)):
+        # one admission step for & | ->; the second -> family pairs a
+        # previous-layer left operand with a shallower right one
+        binary = (
+            (And, ((i, j, tabs[i] & tabs[j]) for j in prev for i in range(j + 1))),
+            (Or, ((i, j, tabs[i] | tabs[j]) for j in prev for i in range(j + 1))),
+            (Implies, ((i, j, negs[i] | tabs[j]) for j in prev for i in range(count))),
+            (Implies, ((i, j, negs[i] | tabs[j]) for i in prev for j in shallow)),
+        )
+        for ctor, candidates in binary:
+            for i, j, table in candidates:
                 if table in seen:
                     continue
-                free = free_i | frees[j]
+                free = frees[i] | frees[j]
                 open_vars = open_within_budget(table, layer, free)
                 if open_vars is not None:
-                    yield keep(Implies(formulas[i], formulas[j]), table, layer, free, open_vars)
+                    yield keep(ctor(formulas[i], formulas[j]), table, layer, free, open_vars)

@@ -5,7 +5,9 @@ variable tuple into a universe of size ``m``.  Assignments are encoded as
 base-``m`` digit strings: variable ``i`` is digit ``i``, so the cell for
 values ``(v_0, ..., v_{k-1})`` sits at bit ``sum(v_i * m**i)``.  All logical
 connectives become integer bit operations and quantifiers become folds along
-one digit axis, which keeps depth-bounded formula scans tractable.
+one digit axis, which keeps depth-bounded formula scans tractable.  Every
+table lies within ``full``, so ``full ^ t`` is exactly the negation of ``t``
+and ``forall`` is computed as ∀ = ¬∃¬: ``full ^ exists(full ^ t, axis)``.
 """
 
 from __future__ import annotations
@@ -73,25 +75,16 @@ class AssignmentSpace:
 
     # -- quantifiers ----------------------------------------------------------
 
-    def _slice0(self, table: int, axis: int) -> tuple[int, int]:
-        """OR/AND folds of the axis slices, both expressed at digit 0."""
-        s = self._strides[axis]
-        mask0 = self._axis_masks[axis][0]
-        any_bits = 0
-        all_bits = mask0
-        for v in range(self.m):
-            part = (table >> (v * s)) & mask0
-            any_bits |= part
-            all_bits &= part
-        return any_bits, all_bits
-
     def exists(self, table: int, axis: int) -> int:
-        any_bits, _ = self._slice0(table, axis)
-        return any_bits * self._spread[axis]
+        """OR of the axis slices, taken at digit 0 and spread along the axis."""
+        s = self._strides[axis]
+        any_bits = 0
+        for v in range(self.m):
+            any_bits |= table >> (v * s)
+        return (any_bits & self._axis_masks[axis][0]) * self._spread[axis]
 
     def forall(self, table: int, axis: int) -> int:
-        _, all_bits = self._slice0(table, axis)
-        return all_bits * self._spread[axis]
+        return self.full ^ self.exists(self.full ^ table, axis)
 
     def constant_along(self, table: int, axis: int) -> bool:
         """True when every cell agrees with its successor along the axis."""

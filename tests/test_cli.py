@@ -343,6 +343,43 @@ class TestMain:
         assert "--map" in captured.err
 
 
+DASH_VALUE_COMMANDS = [
+    ["cyclic", "linearize", "--cut", "0", "--points", "-1,2"],
+    ["cyclic", "linearize", "--cut", "-1/2", "--points", "0,1"],
+    ["line", "classify", "--map", "-2*x"],
+    ["line", "classify", "--map", "-x"],
+    ["field", "eval", "--zero", "-1/2", "--one", "1", "--expr", "1+1"],
+    ["cuts", "classify", "--oracle", "lt", "--target", "-1/2"],
+    ["cuts", "rays", "--set", "-1/2"],
+]
+
+
+def _joined(argv: list[str]) -> list[str]:
+    """The same command with every option written as ``--option=value``."""
+    joined = argv[:2]
+    for option, value in zip(argv[2::2], argv[3::2]):
+        joined.append(f"{option}={value}")
+    return joined
+
+
+class TestDashValues:
+    @pytest.mark.parametrize("argv", DASH_VALUE_COMMANDS, ids=" ".join)
+    def test_value_may_start_with_dash(self, capsys, argv):
+        outputs = []
+        for spelling in (argv, _joined(argv)):
+            assert main(["--format", "machine"] + spelling) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    def test_missing_value_still_exits_two(self):
+        assert run(["line", "classify", "--map"]).exit_code == 2
+        assert run(["line", "classify", "--map", "--format"]).exit_code == 2
+
+    def test_help_still_prints(self, capsys):
+        assert main(["line", "classify", "-h"]) == 0
+        assert "--map MAP" in capsys.readouterr().out
+
+
 OPTION_COMMANDS = {
     "field-expression": lambda text: ["field", "eval", "--zero", "0", "--one", "1", f"--expr={text}"],
     "affine-map": lambda text: ["line", "classify", f"--map={text}"],

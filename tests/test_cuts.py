@@ -13,9 +13,7 @@ from uniline.cuts import (
     DOWNWARD,
     EMPTY,
     GAP,
-    INCONCLUSIVE,
     PRINCIPAL,
-    UNRESOLVED,
     UPWARD,
     CutError,
     CutOracle,
@@ -169,17 +167,6 @@ class TestClassify:
                 assert oracle.member(p - eps)
                 assert not oracle.member(p + eps)
 
-    def test_non_total_oracle_yields_unresolved(self):
-        oracle = CutOracle(
-            "opaque sqrt2",
-            lambda q: q < 0 or q * q < 2,
-            Fraction(0),
-            Fraction(2),
-            total=False,
-        )
-        verdict = classify_cut(oracle, 10**4)
-        assert verdict.kind == UNRESOLVED
-
     def test_random_rational_boundaries(self):
         rng = random.Random(7)
         for _ in range(30):
@@ -228,13 +215,6 @@ class TestConnectivityProbe:
     def test_single_trivial_family(self):
         report = connectivity_probe([oracle_lt(Fraction(0))], 10**6)
         assert report.verdict == CONNECTED_EVIDENCE
-
-    def test_unresolved_is_inconclusive(self):
-        opaque = CutOracle(
-            "opaque", lambda q: q < 0 or q * q < 2, Fraction(0), Fraction(2), total=False
-        )
-        report = connectivity_probe([oracle_lt(Fraction(1)), opaque], 10**4)
-        assert report.verdict == INCONCLUSIVE
 
     def test_empty_family_rejected(self):
         with pytest.raises(CutError):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 
 import pytest
@@ -24,7 +25,8 @@ from uniline.formulas import (
     render_formula,
     semantic_items,
 )
-from uniline.structures import Signature
+from uniline.corpus import digraphs_up_to_iso
+from uniline.structures import FiniteStructure, Signature
 
 SIG = Signature.of(lt=2)
 
@@ -286,3 +288,48 @@ class TestSemanticDedup:
             for i, element in enumerate(chain2.universe):
                 direct = evaluate(chain2, item.formula, {"x1": element})
                 assert direct == bool((item.table >> i) & 1)
+
+
+def _stream_cases():
+    """Every digraph of size at most 3 at depth 2, a subset at depth 3 and
+    with two free variables, and two structures that mix arities."""
+    for size in (1, 2, 3):
+        for graph in digraphs_up_to_iso(size):
+            yield graph, 1, 2
+    for size in (1, 2):
+        for graph in digraphs_up_to_iso(size):
+            yield graph, 2, 2
+            yield graph, 1, 3
+    size3 = digraphs_up_to_iso(3)
+    for graph in size3[::4]:
+        yield graph, 2, 2
+    for graph in size3[::8]:
+        yield graph, 1, 3
+    unary_ternary = FiniteStructure.build(
+        Signature.of(p=1, r=3),
+        ["a", "b", "c"],
+        {"p": [("a",)], "r": [("a", "b", "c"), ("b", "c", "a"), ("c", "c", "a")]},
+    )
+    yield unary_ternary, 1, 2
+    three_arities = FiniteStructure.build(
+        Signature.of(p=1, e=2, r=3),
+        ["a", "b"],
+        {"p": [("b",)], "e": [("a", "b")], "r": [("a", "a", "b"), ("b", "a", "b")]},
+    )
+    for n, max_depth in ((1, 2), (2, 2), (1, 3)):
+        yield three_arities, n, max_depth
+
+
+def test_semantic_stream_digest():
+    # pins the canonical order and every kept table, free set and open set
+    digest = hashlib.sha256()
+    for structure, n, max_depth in _stream_cases():
+        xs = tuple(f"x{i}" for i in range(1, n + 1))
+        pool = tuple(f"y{i}" for i in range(1, max_depth + 1))
+        for item in semantic_items(structure, xs, pool, max_depth):
+            line = (
+                f"{render_formula(item.formula)}|{item.table}|{item.depth}|"
+                f"{','.join(sorted(item.free))}|{','.join(item.open_vars)}\n"
+            )
+            digest.update(line.encode())
+    assert digest.hexdigest() == "23413d72e39c48b4b52683dbe7a60ec3593d9ec7e19c2c18e53b7bf08029bb82"
