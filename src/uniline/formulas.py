@@ -324,12 +324,7 @@ def _lookup(assignment: Mapping[str, str], var: str) -> str:
 # --- enumeration -----------------------------------------------------------------
 
 
-def enumerate_formulas(
-    signature: Signature,
-    free_var_count: int,
-    max_depth: int,
-    structure: FiniteStructure | None = None,
-) -> Iterator[Formula]:
+def enumerate_formulas(signature: Signature, free_var_count: int, max_depth: int) -> Iterator[Formula]:
     """All formulas with free variables exactly ``x1..xn`` and depth <= d.
 
     Bound variables come from the pool ``y1..yd`` and are named canonically
@@ -338,11 +333,6 @@ def enumerate_formulas(
     disjunctions are generated as unordered pairs, which prunes commutative
     duplicates.  The order is deterministic: formulas appear by depth layer,
     within a layer by operator (``exists forall ~ & | ->``) and operand index.
-
-    With ``structure`` given, the sequence is deduplicated semantically:
-    only the first formula realizing each truth table over the structure is
-    kept (a table first realized by an open formula, one with a leftover
-    bound-pool variable, is represented by that route and not re-yielded).
     """
     if free_var_count < 1:
         raise ValueError("free_var_count must be >= 1")
@@ -351,14 +341,9 @@ def enumerate_formulas(
     xs = tuple(f"x{i}" for i in range(1, free_var_count + 1))
     pool = tuple(f"y{i}" for i in range(1, max_depth + 1))
     target = frozenset(xs)
-    if structure is None:
-        for formula, _ in _syntactic_items(signature, xs, pool, max_depth):
-            if free_vars(formula) == target:
-                yield formula
-    else:
-        for item in semantic_items(structure, xs, pool, max_depth):
-            if item.free == target:
-                yield item.formula
+    for formula, _ in _syntactic_items(signature, xs, pool, max_depth):
+        if free_vars(formula) == target:
+            yield formula
 
 
 def _atoms(signature: Signature, variables: tuple[str, ...]) -> Iterator[Formula]:
@@ -370,72 +355,47 @@ def _atoms(signature: Signature, variables: tuple[str, ...]) -> Iterator[Formula
             yield Equal(left, right)
 
 
-_Descriptor = tuple  # (tag, operand index, second index / bound variable / None)
-
-
-def _layer_descriptors(
-    depths: list[int], frees: list[frozenset[str]], layer: int, pool: tuple[str, ...]
-) -> Iterator[_Descriptor]:
-    """Exact-depth-``layer`` candidates over already-emitted formula indices,
+def _layer(formulas: list[Formula], start: int, pool: tuple[str, ...]) -> Iterator[Formula]:
+    """The formulas one layer deeper than ``formulas[start:]``, over the
+    formulas present at the first step (the caller appends while this runs),
     in the canonical order: quantifiers, negation, then the binary
     connectives by operand index.  ``semantic_items`` mirrors this order with
     its own candidate loop (it additionally prunes by table dependencies)."""
-    prev = [i for i, d in enumerate(depths) if d == layer - 1]
-    pool_index = {v: k for k, v in enumerate(pool)}
-    for tag in ("exists", "forall"):
-        for i in prev:
-            bindable = [v for v in frees[i] if v in pool_index]
-            if bindable:
-                yield (tag, i, max(bindable, key=pool_index.__getitem__))
+    count = len(formulas)
+    prev = range(start, count)
+    binders = []
     for i in prev:
-        yield ("not", i, None)
-    for tag in ("and", "or"):
+        free = free_vars(formulas[i])
+        bindable = [v for v in pool if v in free]
+        if bindable:
+            binders.append((bindable[-1], formulas[i]))
+    for ctor in (Exists, Forall):
+        for var, body in binders:
+            yield ctor(var, body)
+    for i in prev:
+        yield Not(formulas[i])
+    for ctor in (And, Or):
         for j in prev:
             for i in range(j + 1):
-                yield (tag, i, j)
+                yield ctor(formulas[i], formulas[j])
     for j in prev:
-        for i in range(len(depths)):
-            yield ("implies", i, j)
-    shallow = [i for i, d in enumerate(depths) if d < layer - 1]
+        for i in range(count):
+            yield Implies(formulas[i], formulas[j])
     for i in prev:
-        for j in shallow:
-            yield ("implies", i, j)
-
-
-_NODE_CTOR = {"not": Not, "and": And, "or": Or, "implies": Implies, "exists": Exists, "forall": Forall}
-
-
-def _build_node(descriptor: _Descriptor, formulas: list[Formula]) -> Formula:
-    tag, first, second = descriptor
-    if tag == "not":
-        return Not(formulas[first])
-    if tag in ("exists", "forall"):
-        return _NODE_CTOR[tag](second, formulas[first])
-    return _NODE_CTOR[tag](formulas[first], formulas[second])
+        for j in range(start):
+            yield Implies(formulas[i], formulas[j])
 
 
 def _syntactic_items(
     signature: Signature, xs: tuple[str, ...], pool: tuple[str, ...], max_depth: int
 ) -> Iterator[tuple[Formula, int]]:
-    variables = xs + pool
-    formulas: list[Formula] = []
-    depths: list[int] = []
-    frees: list[frozenset[str]] = []
-
-    def push(formula: Formula, layer: int) -> None:
-        formulas.append(formula)
-        depths.append(layer)
-        frees.append(free_vars(formula))
-
-    for atom in _atoms(signature, variables):
-        push(atom, 0)
-        yield atom, 0
+    formulas = list(_atoms(signature, xs + pool))
+    yield from ((atom, 0) for atom in formulas)
+    stop = 0
     for layer in range(1, max_depth + 1):
-        snapshot_depths = list(depths)
-        snapshot_frees = list(frees)
-        for descriptor in _layer_descriptors(snapshot_depths, snapshot_frees, layer, pool):
-            formula = _build_node(descriptor, formulas)
-            push(formula, layer)
+        start, stop = stop, len(formulas)
+        for formula in _layer(formulas, start, pool):
+            formulas.append(formula)
             yield formula, layer
 
 

@@ -34,7 +34,7 @@ class SchemaCounterexample:
 
     ``witness`` satisfies the formula as written; ``violating`` satisfies it
     under no permutation of its coordinates.  Both are pairwise-distinct
-    element tuples.
+    element tuples, each the least such tuple in universe order.
     """
 
     formula: Formula
@@ -83,6 +83,17 @@ def _closed_instances(structure: FiniteStructure, n: int, depth: int) -> Iterato
         yield report, item.table
 
 
+def _arrangements(spc: tables.AssignmentSpace, positions: tuple[int, ...], depth: int) -> int:
+    """The cells that put an arrangement of ``positions`` on ``x1..xn``, with
+    every pool variable at element 0 (a schema instance is constant along the
+    pool axes)."""
+    pad = (0,) * depth
+    mask = 0
+    for p in itertools.permutations(positions):
+        mask |= 1 << spc.cell_index(p + pad)
+    return mask
+
+
 def check_uniformity_orbits(structure: FiniteStructure, n: int) -> UniformityVerdict:
     partition = autgroup.orbit_partition(structure, n, mode="subsets")
     if partition.class_count() <= 1:
@@ -108,21 +119,15 @@ def check_uniformity_schema(structure: FiniteStructure, n: int, depth: int) -> U
         raise ValueError(f"n must be between 1 and {size}, got {n}")
     _check_depth(depth)
     spc = tables.space(size, n + depth)
-
-    carrier = list(itertools.permutations(range(size), n))
-    pad = (0,) * depth
-    cell = {t: spc.cell_index(t + pad) for t in carrier}
-    arrangements = {t: [cell[p] for p in itertools.permutations(t)] for t in carrier}
+    subsets = list(itertools.combinations(range(size), n))
+    masks = [_arrangements(spc, subset, depth) for subset in subsets]
+    carrier = sum(masks)  # the masks are disjoint; together they are every distinct tuple
 
     for report, table in _closed_instances(structure, n, depth):
-        witness = None
-        violating = None
-        for t in carrier:
-            if witness is None and (table >> cell[t]) & 1:
-                witness = t
-            if violating is None and not any((table >> c) & 1 for c in arrangements[t]):
-                violating = t
-        if witness is not None and violating is not None:
+        if table & carrier and not all(table & mask for mask in masks):
+            pad = (0,) * depth
+            witness = next(t for t in itertools.permutations(range(size), n) if spc.test(table, t + pad))
+            violating = next(subset for subset, mask in zip(subsets, masks) if not table & mask)
             counterexample = SchemaCounterexample(
                 report,
                 autgroup.elements_of(structure, witness),
@@ -152,13 +157,9 @@ def distinguishing_formula(
     if set(first_pos) == set(second_pos):
         return None
     spc = tables.space(structure.size(), n + max_depth)
-    pad = (0,) * max_depth
-    first_cells = [spc.cell_index(p + pad) for p in itertools.permutations(first_pos)]
-    second_cells = [spc.cell_index(p + pad) for p in itertools.permutations(second_pos)]
-
+    first_mask = _arrangements(spc, first_pos, max_depth)
+    second_mask = _arrangements(spc, second_pos, max_depth)
     for report, table in _closed_instances(structure, n, max_depth):
-        if any((table >> c) & 1 for c in first_cells) and not any(
-            (table >> c) & 1 for c in second_cells
-        ):
+        if table & first_mask and not table & second_mask:
             return report
     return None

@@ -17,6 +17,7 @@ from uniline.formulas import (
     Implies,
     Not,
     Or,
+    _syntactic_items,
     depth,
     enumerate_formulas,
     evaluate,
@@ -247,11 +248,31 @@ class TestEnumeration:
         for formula in itertools.islice(enumerate_formulas(SIG, 1, 2), 600):
             assert variables(formula) <= allowed
 
+    def test_syntactic_stream_digest(self):
+        # pins the canonical order of the syntactic oracle, layer by layer
+        e = Signature.of(e=2)
+        cases = [(e, 1, 1, None), (e, 2, 1, None), (Signature.of(p=1, r=3), 1, 1, None), (e, 1, 2, 50_000)]
+        digest = hashlib.sha256()
+        for signature, n, max_depth, limit in cases:
+            xs = tuple(f"x{i}" for i in range(1, n + 1))
+            pool = tuple(f"y{i}" for i in range(1, max_depth + 1))
+            for formula, layer in itertools.islice(_syntactic_items(signature, xs, pool, max_depth), limit):
+                digest.update(f"{render_formula(formula)}|{layer}\n".encode())
+        assert digest.hexdigest() == "eb0dfec87e48db4e69d61ed44d02bad2a3b5e6dba9896bca788443d9be5da76b"
+
     def test_validation(self):
         with pytest.raises(ValueError):
             list(enumerate_formulas(SIG, 0, 1))
         with pytest.raises(ValueError):
             list(enumerate_formulas(SIG, 1, -1))
+
+
+def closed_representatives(structure, max_depth):
+    """The kept formulas of the semantic stream whose free variable is x1 alone."""
+    pool = tuple(f"y{i}" for i in range(1, max_depth + 1))
+    for item in semantic_items(structure, ("x1",), pool, max_depth):
+        if item.free == {"x1"}:
+            yield item.formula
 
 
 class TestSemanticDedup:
@@ -264,7 +285,7 @@ class TestSemanticDedup:
 
     def test_one_formula_per_truth_table(self, chain2):
         seen = set()
-        for formula in enumerate_formulas(SIG, 1, 2, structure=chain2):
+        for formula in closed_representatives(chain2, 2):
             key = self._truth_key(chain2, formula, 1)
             assert key not in seen
             seen.add(key)
@@ -277,7 +298,7 @@ class TestSemanticDedup:
         }
         deduped = {
             self._truth_key(cycle3, formula, 1)
-            for formula in enumerate_formulas(cycle3.signature, 1, 2, structure=cycle3)
+            for formula in closed_representatives(cycle3, 2)
         }
         assert brute == deduped
 

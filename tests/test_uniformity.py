@@ -4,7 +4,8 @@ import itertools
 
 import pytest
 
-from uniline.corpus import beyond_depth_three, biclique_2_3
+from uniline import tables
+from uniline.corpus import beyond_depth_three, biclique_2_3, digraphs_up_to_iso
 from uniline.formulas import (
     And,
     Atom,
@@ -190,6 +191,37 @@ class TestSchema:
         assert MAX_DEPTH == 4
         with pytest.raises(ValueError, match=f"between 0 and 4, got {depth}"):
             check_uniformity_schema(chain2, 1, depth)
+
+    def test_assignment_space_limit(self):
+        # 10 elements at n + depth = 6 is the largest space allowed; without the
+        # limit n = 3 at depth 4 builds for 43 s on 2 cores, and n = 5 needs about 11 GB
+        assert tables.MAX_CELLS == 10**6
+        assert tables.AssignmentSpace(10, 6).cells == 10**6
+        antichain10 = FiniteStructure.build(Signature.of(e=2), [f"v{i}" for i in range(10)], {})
+        for n in (3, 5):
+            with pytest.raises(ValueError, match=f"space 10\\^{n + 4} exceeds the limit of 1,000,000 cells"):
+                check_uniformity_schema(antichain10, n, 4)
+            first, second = antichain10.universe[:n], antichain10.universe[1:n + 1]
+            with pytest.raises(ValueError, match="exceeds the limit"):
+                distinguishing_formula(antichain10, first, second, 4)
+
+    def test_certificates_are_least_tuples(self):
+        # the witness is the least distinct tuple satisfying the formula, the
+        # violating tuple the least one with no satisfying arrangement;
+        # permutations of the universe come in that order
+        for size in (1, 2, 3):
+            for graph in digraphs_up_to_iso(size):
+                for n in (1, 2)[:size]:
+                    verdict = check_uniformity_schema(graph, n, 2)
+                    if verdict.uniform:
+                        continue
+                    ce = verdict.counterexample
+                    xs = [f"x{i}" for i in range(1, n + 1)]
+                    distinct = list(itertools.permutations(graph.universe, n))
+                    satisfied = {t for t in distinct if evaluate(graph, ce.formula, dict(zip(xs, t)))}
+                    assert ce.witness == next(t for t in distinct if t in satisfied)
+                    unmet = (t for t in distinct if not satisfied & set(itertools.permutations(t)))
+                    assert ce.violating == next(unmet)
 
 
 class TestOrbits:
