@@ -14,9 +14,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-# The most cells a space may have.  It holds about m * var_count masks of one
-# bit per cell; on a 2-core machine 10**6 cells build in 0.5 s, 10**7 in 43 s.
-MAX_CELLS = 10**6
+# A space keeps m masks per axis, each of up to one bit per cell; the limit
+# caps that m * var_count * cells, at 12.5 MB of masks.
+MAX_MASK_BITS = 10**8
 
 
 @lru_cache(maxsize=None)
@@ -31,8 +31,8 @@ class AssignmentSpace:
         self.m = universe_size
         self.var_count = var_count
         self.cells = universe_size ** var_count
-        if self.cells > MAX_CELLS:
-            raise ValueError(f"assignment space {self.m}^{var_count} exceeds the limit of {MAX_CELLS:,} cells")
+        if universe_size * var_count * self.cells > MAX_MASK_BITS:
+            raise ValueError(f"assignment space {self.m}^{var_count} exceeds the limit of {MAX_MASK_BITS:,} mask bits")
         self.full = (1 << self.cells) - 1
         self._strides = [universe_size ** i for i in range(var_count)]
         # axis_mask[i][v]: bits of all cells whose digit i equals v

@@ -83,15 +83,17 @@ def _closed_instances(structure: FiniteStructure, n: int, depth: int) -> Iterato
         yield report, item.table
 
 
-def _arrangements(spc: tables.AssignmentSpace, positions: tuple[int, ...], depth: int) -> int:
+def _arrangements(spc: tables.AssignmentSpace, positions: tuple[int, ...], depth: int) -> list[int]:
     """The cells that put an arrangement of ``positions`` on ``x1..xn``, with
     every pool variable at element 0 (a schema instance is constant along the
     pool axes)."""
     pad = (0,) * depth
-    mask = 0
-    for p in itertools.permutations(positions):
-        mask |= 1 << spc.cell_index(p + pad)
-    return mask
+    return [spc.cell_index(p + pad) for p in itertools.permutations(positions)]
+
+
+def _meets(table: int, cells: list[int]) -> bool:
+    """True when ``table`` is set at one of ``cells``."""
+    return any((table >> c) & 1 for c in cells)
 
 
 def check_uniformity_orbits(structure: FiniteStructure, n: int) -> UniformityVerdict:
@@ -120,14 +122,14 @@ def check_uniformity_schema(structure: FiniteStructure, n: int, depth: int) -> U
     _check_depth(depth)
     spc = tables.space(size, n + depth)
     subsets = list(itertools.combinations(range(size), n))
-    masks = [_arrangements(spc, subset, depth) for subset in subsets]
-    carrier = sum(masks)  # the masks are disjoint; together they are every distinct tuple
+    arrangements = [_arrangements(spc, subset, depth) for subset in subsets]
 
     for report, table in _closed_instances(structure, n, depth):
-        if table & carrier and not all(table & mask for mask in masks):
+        met = [_meets(table, cells) for cells in arrangements]
+        if any(met) and not all(met):
             pad = (0,) * depth
             witness = next(t for t in itertools.permutations(range(size), n) if spc.test(table, t + pad))
-            violating = next(subset for subset, mask in zip(subsets, masks) if not table & mask)
+            violating = subsets[met.index(False)]
             counterexample = SchemaCounterexample(
                 report,
                 autgroup.elements_of(structure, witness),
@@ -157,9 +159,9 @@ def distinguishing_formula(
     if set(first_pos) == set(second_pos):
         return None
     spc = tables.space(structure.size(), n + max_depth)
-    first_mask = _arrangements(spc, first_pos, max_depth)
-    second_mask = _arrangements(spc, second_pos, max_depth)
+    first_cells = _arrangements(spc, first_pos, max_depth)
+    second_cells = _arrangements(spc, second_pos, max_depth)
     for report, table in _closed_instances(structure, n, max_depth):
-        if table & first_mask and not table & second_mask:
+        if _meets(table, first_cells) and not _meets(table, second_cells):
             return report
     return None

@@ -95,13 +95,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("n", ["3", "5"])
     def test_assignment_space_above_limit_exits_two(self, tmp_path, n):
-        # 10^(n+4) cells: without the limit n = 3 builds for 43 s (2 cores) and n = 5 needs about 11 GB
+        # 10^(n+4) cells: without the limit n = 3 builds for 43 s (2 cores) and n = 5 needs about 11 GB of masks
         path = tmp_path / "antichain10.txt"
         path.write_text("signature\n  e/2\nuniverse\n  " + " ".join("abcdefghij") + "\n", encoding="utf-8")
         argv = ["uniformity", "--structure", str(path), "--n", n, "--depth", "4", "--method", "both"]
         code, records = machine(argv)
         assert code == 2
-        assert records[0]["error"] == f"assignment space 10^{int(n) + 4} exceeds the limit of 1,000,000 cells"
+        assert records[0]["error"] == f"assignment space 10^{int(n) + 4} exceeds the limit of 100,000,000 mask bits"
 
     def test_missing_file_exits_two(self):
         assert run(["structure", "parse", "--structure", "/nonexistent"]).exit_code == 2

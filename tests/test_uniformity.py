@@ -1,10 +1,10 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import pytest
 
-from uniline import tables
 from uniline.corpus import beyond_depth_three, biclique_2_3, digraphs_up_to_iso
 from uniline.formulas import (
     And,
@@ -193,17 +193,28 @@ class TestSchema:
             check_uniformity_schema(chain2, 1, depth)
 
     def test_assignment_space_limit(self):
-        # 10 elements at n + depth = 6 is the largest space allowed; without the
-        # limit n = 3 at depth 4 builds for 43 s on 2 cores, and n = 5 needs about 11 GB
-        assert tables.MAX_CELLS == 10**6
-        assert tables.AssignmentSpace(10, 6).cells == 10**6
+        # a space holds m * var_count * cells mask bits.  Without the limit the
+        # first space builds for 43 s on 2 cores; the second is the smallest
+        # universe over the limit at n = 1, depth 0 (10^5 elements need 625 MB)
         antichain10 = FiniteStructure.build(Signature.of(e=2), [f"v{i}" for i in range(10)], {})
-        for n in (3, 5):
-            with pytest.raises(ValueError, match=f"space 10\\^{n + 4} exceeds the limit of 1,000,000 cells"):
-                check_uniformity_schema(antichain10, n, 4)
-            first, second = antichain10.universe[:n], antichain10.universe[1:n + 1]
-            with pytest.raises(ValueError, match="exceeds the limit"):
-                distinguishing_formula(antichain10, first, second, 4)
+        with pytest.raises(ValueError, match="space 10\\^7 exceeds the limit of 100,000,000 mask bits"):
+            distinguishing_formula(antichain10, ("v0", "v1", "v2"), ("v1", "v2", "v3"), 4)
+        wide = FiniteStructure.build(Signature.of(e=2), [f"v{i}" for i in range(10_001)], {})
+        with pytest.raises(ValueError, match="space 10001\\^1 exceeds the limit"):
+            check_uniformity_schema(wide, 1, 0)
+
+    def test_wide_scan_memory(self):
+        # 19,900 pairs over a 40,000-cell space: one bit mask per pair would
+        # take about 67 MB, a list of cells per pair takes a few MB
+        antichain = FiniteStructure.build(Signature.of(e=2), [f"v{i}" for i in range(200)], {})
+        tracemalloc.start()
+        try:
+            verdict = check_uniformity_schema(antichain, 2, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.uniform
+        assert peak < 32 * 2**20
 
     def test_certificates_are_least_tuples(self):
         # the witness is the least distinct tuple satisfying the formula, the
