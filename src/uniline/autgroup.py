@@ -16,7 +16,8 @@ onto, so no check of preimages is needed.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable
+import operator
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .structures import FiniteStructure
@@ -79,18 +80,20 @@ def _stable_colours(size: int, relations: list[frozenset[tuple[int, ...]]]) -> l
     Every step uses only isomorphism-invariant data, so automorphisms
     preserve the stable colours.
     """
-    occurrences: list[list[tuple[int, tuple[int, ...], tuple[int, ...]]]] = [[] for _ in range(size)]
+    occurrences: list[list[tuple[int, tuple[int, ...], Callable]]] = [[] for _ in range(size)]
     for rel_id, relation in enumerate(relations):
         for tup in relation:
+            colours_at = operator.itemgetter(*tup)
             for pos in set(tup):
-                fills = tuple(k for k, i in enumerate(tup) if i == pos)
-                occurrences[pos].append((rel_id, fills, tup))
+                fills = tuple([k for k, i in enumerate(tup) if i == pos])
+                occurrences[pos].append((rel_id, fills, colours_at))
     colours = [0] * size
     count = 1
     while True:
-        colour_of = colours.__getitem__
+        # for a unary tuple colours_at gives a bare colour, not a 1-tuple; the
+        # entries of one relation all have one shape, so keys compare as before
         keys = [
-            (colours[pos], tuple(sorted([(r, fills, tuple(map(colour_of, tup))) for r, fills, tup in occurs])))
+            (colours[pos], tuple(sorted([(r, fills, colours_at(colours)) for r, fills, colours_at in occurs])))
             for pos, occurs in enumerate(occurrences)
         ]
         ranks: dict = {}
@@ -122,10 +125,11 @@ def automorphisms(structure: FiniteStructure) -> list[Permutation]:
     image = [-1] * size
     used = [False] * size
     found: list[Permutation] = []
+    image_at = image.__getitem__
 
     def consistent(pos: int) -> bool:
         for relation, tup in closing[pos]:
-            if tuple(image[i] for i in tup) not in relation:
+            if tuple(map(image_at, tup)) not in relation:
                 return False
         return True
 
@@ -178,7 +182,7 @@ def orbit_partition(structure: FiniteStructure, n: int, mode: str = "subsets") -
     size = structure.size()
     if not 1 <= n <= size:
         raise ValueError(f"n must be between 1 and {size}, got {n}")
-    group = automorphisms(structure)
+    images = [g.mapping for g in automorphisms(structure)]
     if mode == "tuples":
         carrier = list(itertools.permutations(range(size), n))
     else:
@@ -188,12 +192,10 @@ def orbit_partition(structure: FiniteStructure, n: int, mode: str = "subsets") -
     for member in carrier:
         if member not in remaining:
             continue
-        orbit = set()
-        for g in group:
-            moved = g.apply(member)
-            if mode == "subsets":
-                moved = tuple(sorted(moved))
-            orbit.add(moved)
+        if mode == "subsets":
+            orbit = {tuple(sorted([image[i] for i in member])) for image in images}
+        else:
+            orbit = {tuple([image[i] for i in member]) for image in images}
         remaining -= orbit
         classes.append(tuple(sorted(orbit)))
     return OrbitPartition(n, mode, tuple(classes))

@@ -136,11 +136,8 @@ class FiniteStructure:
 
     def relation_positions(self) -> list[frozenset[tuple[int, ...]]]:
         """Each relation's tuples as tuples of universe positions, in signature order."""
-        position = {element: i for i, element in enumerate(self.universe)}
-        return [
-            frozenset(tuple(position[e] for e in t) for t in tuples)
-            for _, tuples in self.interpretation
-        ]
+        position = {element: i for i, element in enumerate(self.universe)}.__getitem__
+        return [frozenset([tuple(map(position, t)) for t in tuples]) for _, tuples in self.interpretation]
 
     def size(self) -> int:
         return len(self.universe)

@@ -34,20 +34,20 @@ class AssignmentSpace:
         if universe_size * var_count * self.cells > MAX_MASK_BITS:
             raise ValueError(f"assignment space {self.m}^{var_count} exceeds the limit of {MAX_MASK_BITS:,} mask bits")
         self.full = (1 << self.cells) - 1
-        self._strides = [universe_size ** i for i in range(var_count)]
+        self.strides = [universe_size ** i for i in range(var_count)]
         # axis_mask[i][v]: bits of all cells whose digit i equals v
         self._axis_masks = [self._build_axis_masks(i) for i in range(var_count)]
         # spread[i]: sum of 2**(v*stride_i); multiplying a digit-0 slice by it
         # replicates the slice across axis i
         self._spread = [
-            ((1 << (self.m * s)) - 1) // ((1 << s) - 1) for s in self._strides
+            ((1 << (self.m * s)) - 1) // ((1 << s) - 1) for s in self.strides
         ]
         # inner[i]: bits of all cells whose digit i is not the last value m-1,
         # i.e. the cells that have a successor along axis i
-        self._inner = [self.full & ~masks[-1] for masks in self._axis_masks]
+        self.inner = [self.full & ~masks[-1] for masks in self._axis_masks]
 
     def _build_axis_masks(self, axis: int) -> list[int]:
-        s = self._strides[axis]
+        s = self.strides[axis]
         period = self.m * s
         repeats = self.cells // period
         repeater = ((1 << (period * repeats)) - 1) // ((1 << period) - 1)
@@ -55,7 +55,7 @@ class AssignmentSpace:
         return [repeater * (ones << (v * s)) for v in range(self.m)]
 
     def cell_index(self, values: tuple[int, ...]) -> int:
-        return sum(v * s for v, s in zip(values, self._strides))
+        return sum(v * s for v, s in zip(values, self.strides))
 
     def test(self, table: int, values: tuple[int, ...]) -> bool:
         return bool((table >> self.cell_index(values)) & 1)
@@ -64,6 +64,12 @@ class AssignmentSpace:
 
     def relation_table(self, tuples: frozenset[tuple[int, ...]], axes: tuple[int, ...]) -> int:
         table = 0
+        if len(axes) == 2:
+            # the general loop unrolled: one AND of two axis masks per tuple
+            first, second = self._axis_masks[axes[0]], self._axis_masks[axes[1]]
+            for u, w in tuples:
+                table |= first[u] & second[w]
+            return table
         for tup in tuples:
             bits = self.full
             for axis, value in zip(axes, tup):
@@ -83,7 +89,7 @@ class AssignmentSpace:
 
     def exists(self, table: int, axis: int) -> int:
         """OR of the axis slices, taken at digit 0 and spread along the axis."""
-        s = self._strides[axis]
+        s = self.strides[axis]
         any_bits = 0
         for v in range(self.m):
             any_bits |= table >> (v * s)
@@ -94,4 +100,4 @@ class AssignmentSpace:
 
     def constant_along(self, table: int, axis: int) -> bool:
         """True when every cell agrees with its successor along the axis."""
-        return not ((table ^ (table >> self._strides[axis])) & self._inner[axis])
+        return not ((table ^ (table >> self.strides[axis])) & self.inner[axis])

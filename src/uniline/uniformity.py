@@ -17,13 +17,14 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import autgroup, tables
 from .formulas import Exists, Formula, semantic_items
 from .structures import FiniteStructure
 
 # The deepest scan allowed.  Depth 4 is the measured horizon: criterion 1
-# scans the 2x3 biclique at depth 4 in about a minute, and a depth-5 scan of
+# scans the 2x3 biclique at depth 4 in about 40 s, and a depth-5 scan of
 # the 3-cycle at n=1 does not finish in 100 s.
 MAX_DEPTH = 4
 
@@ -91,6 +92,21 @@ def _arrangements(spc: tables.AssignmentSpace, positions: tuple[int, ...], depth
     return [spc.cell_index(p + pad) for p in itertools.permutations(positions)]
 
 
+@lru_cache(maxsize=None)
+def _subset_plan(size: int, n: int, depth: int):
+    """The space of a schema scan, its n-subsets in order, the cells of each
+    subset's arrangements, and the carrier: one bit at each of those cells.
+    The cells number at most the space's cells, like its cached masks."""
+    spc = tables.space(size, n + depth)
+    subsets = tuple(itertools.combinations(range(size), n))
+    arrangements = tuple(_arrangements(spc, subset, depth) for subset in subsets)
+    bits = bytearray(spc.cells // 8 + 1)  # linear in the cells, where |= on an int is not
+    for cells in arrangements:
+        for c in cells:
+            bits[c >> 3] |= 1 << (c & 7)
+    return spc, subsets, arrangements, int.from_bytes(bits, "little")
+
+
 def _meets(table: int, cells: list[int]) -> bool:
     """True when ``table`` is set at one of ``cells``."""
     return any((table >> c) & 1 for c in cells)
@@ -120,11 +136,12 @@ def check_uniformity_schema(structure: FiniteStructure, n: int, depth: int) -> U
     if not 1 <= n <= size:
         raise ValueError(f"n must be between 1 and {size}, got {n}")
     _check_depth(depth)
-    spc = tables.space(size, n + depth)
-    subsets = list(itertools.combinations(range(size), n))
-    arrangements = [_arrangements(spc, subset, depth) for subset in subsets]
+    spc, subsets, arrangements, carrier = _subset_plan(size, n, depth)
 
     for report, table in _closed_instances(structure, n, depth):
+        hit = table & carrier
+        if hit == 0 or hit == carrier:
+            continue  # no subset is met, or every subset is
         met = [_meets(table, cells) for cells in arrangements]
         if any(met) and not all(met):
             pad = (0,) * depth

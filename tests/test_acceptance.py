@@ -108,8 +108,8 @@ def test_criterion_1_schema_orbit_agreement(corpus):
     them is checked independently by an unpruned table closure in
     test_uniformity.py (``test_biclique_horizon_at_size_five``).
 
-    The depth-4 scan of the biclique alone takes about a minute on a
-    2-core machine.
+    The depth-4 scan of the biclique alone takes about 40 s on a 2-core
+    machine.
     """
     biclique = biclique_2_3()
     expected_horizon = {(name, 1) for name, structure in corpus if _isomorphic(structure, biclique)}

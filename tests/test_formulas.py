@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from uniline.formulas import (
     And,
@@ -28,8 +29,15 @@ from uniline.formulas import (
 )
 from uniline.corpus import digraphs_up_to_iso
 from uniline.structures import FiniteStructure, Signature
+from uniline.tables import space
 
 SIG = Signature.of(lt=2)
+
+
+@functools.lru_cache(maxsize=None)
+def drained(signature, n, max_depth):
+    """The whole ``enumerate_formulas`` stream, drained once per test run."""
+    return tuple(enumerate_formulas(signature, n, max_depth))
 
 
 class TestParsing:
@@ -210,7 +218,7 @@ class TestEnumeration:
         assert formulas == [Atom("lt", ("x1", "x1")), Equal("x1", "x1")]
 
     def test_depth_two_contains_quantified_atoms(self):
-        formulas = set(enumerate_formulas(SIG, 1, 2))
+        formulas = set(drained(SIG, 1, 2))
         assert Exists("y1", Atom("lt", ("y1", "x1"))) in formulas
         assert Exists("y1", Atom("lt", ("x1", "y1"))) in formulas
 
@@ -225,7 +233,7 @@ class TestEnumeration:
             assert free_vars(formula) == {"x1", "x2"}
 
     def test_depth_bound_respected(self):
-        assert all(depth(f) <= 2 for f in enumerate_formulas(SIG, 1, 2))
+        assert all(depth(f) <= 2 for f in drained(SIG, 1, 2))
 
     def test_deterministic_order(self):
         first = list(itertools.islice(enumerate_formulas(SIG, 1, 2), 200))
@@ -294,7 +302,7 @@ class TestSemanticDedup:
         # oracle: brute-force truth tables of the full syntactic enumeration
         brute = {
             self._truth_key(cycle3, formula, 1)
-            for formula in enumerate_formulas(cycle3.signature, 1, 2)
+            for formula in drained(cycle3.signature, 1, 2)
         }
         deduped = {
             self._truth_key(cycle3, formula, 1)
@@ -309,6 +317,51 @@ class TestSemanticDedup:
             for i, element in enumerate(chain2.universe):
                 direct = evaluate(chain2, item.formula, {"x1": element})
                 assert direct == bool((item.table >> i) & 1)
+
+
+@st.composite
+def mixed_structures(draw, max_size):
+    size = draw(st.integers(1, max_size))
+    universe = [f"a{i}" for i in range(size)]
+    arities = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    signature = Signature(tuple((f"r{k}", arity) for k, arity in enumerate(arities)))
+    relations = {
+        name: draw(st.lists(st.tuples(*[st.sampled_from(universe)] * arity), max_size=4))
+        for name, arity in signature.relations
+    }
+    return FiniteStructure.build(signature, universe, relations)
+
+
+def assert_admission_invariant(structure, max_depth):
+    """Each kept item's open variables are exactly the pool variables its
+    table is not constant along, all of them free, within the depth budget.
+    So admission reads the table alone; since layers only rise along the
+    stream, a table rejected by the budget could never be kept later."""
+    xs = ("x1",)
+    pool = tuple(f"y{i}" for i in range(1, max_depth + 1))
+    spc = space(structure.size(), 1 + max_depth)
+    tables = set()
+    last_depth = 0
+    for item in semantic_items(structure, xs, pool, max_depth):
+        varying = tuple(v for axis, v in enumerate(pool, 1) if not spc.constant_along(item.table, axis))
+        assert item.open_vars == varying
+        assert set(item.open_vars) <= item.free
+        assert item.depth + len(item.open_vars) <= max_depth
+        assert item.depth >= last_depth and item.table not in tables
+        last_depth = item.depth
+        tables.add(item.table)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mixed_structures(max_size=3))
+def test_admission_reads_the_table_alone_at_depth_two(structure):
+    assert_admission_invariant(structure, 2)
+
+
+@settings(max_examples=10, deadline=None)
+@given(mixed_structures(max_size=2))
+def test_admission_reads_the_table_alone_at_depth_three(structure):
+    assert_admission_invariant(structure, 3)
 
 
 def _stream_cases():

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import itertools
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from uniline.tables import space
@@ -57,3 +57,27 @@ def test_single_element_universe_is_constant_along_every_axis():
     spc = space(1, 3)
     for table in (0, spc.full):
         assert all(spc.constant_along(table, axis) for axis in range(3))
+
+
+@st.composite
+def relation_cases(draw):
+    m = draw(st.integers(1, 4))
+    var_count = draw(st.integers(1, 3))
+    arity = draw(st.integers(1, 3))
+    axes = tuple(draw(st.lists(st.integers(0, var_count - 1), min_size=arity, max_size=arity)))
+    values = st.tuples(*[st.integers(0, m - 1)] * arity)
+    tuples = frozenset(draw(st.lists(values, max_size=m**arity)))
+    return space(m, var_count), tuples, axes
+
+
+@settings(max_examples=300, deadline=None)
+@given(relation_cases())
+# e(x1,x1) on a 2-cycle with a loop: the rows of a repeated axis meet only on the diagonal
+@example((space(3, 2), frozenset({(0, 1), (1, 0), (2, 2)}), (0, 0)))
+def test_relation_table_matches_cell_by_cell(case):
+    spc, tuples, axes = case
+    expected = 0
+    for values in itertools.product(range(spc.m), repeat=spc.var_count):
+        if tuple(values[axis] for axis in axes) in tuples:
+            expected |= 1 << spc.cell_index(values)
+    assert spc.relation_table(tuples, axes) == expected
