@@ -4,7 +4,10 @@ The optimized search backtracks over partial position maps with
 relation-consistency pruning; ``brute_force_automorphisms`` filters all
 ``|U|!`` permutations and serves as the independent oracle in tests.  Both
 return the complete group in the same deterministic order (lexicographic by
-image sequence), so results are directly comparable.
+image sequence), so results are directly comparable.  The same search,
+stopped at its first automorphism with positions ``0..n-1`` confined to one
+n-subset, decides orbit membership for ``least_outside_orbit`` without
+enumerating the group.
 
 The search checks forward only: mapping position ``pos`` completes the
 tuples whose largest position is ``pos``, and each of their images must lie
@@ -107,8 +110,10 @@ def _stable_colours(size: int, relations: list[frozenset[tuple[int, ...]]]) -> l
             return colours
 
 
-def automorphisms(structure: FiniteStructure) -> list[Permutation]:
-    """The complete automorphism group, identity first, deterministic order."""
+def _search_plan(structure: FiniteStructure) -> tuple[list, list[list[int]]]:
+    """What every search over one structure shares: the tuples that mapping
+    each position completes, and each position's candidate images, the
+    positions of its stable colour."""
     size = structure.size()
     if size > MAX_SIZE:
         raise ResourceCapError(f"universe size {size} exceeds cap {MAX_SIZE}")
@@ -121,7 +126,14 @@ def automorphisms(structure: FiniteStructure) -> list[Permutation]:
             closing[max(tup)].append((relation, tup))
     colours = _stable_colours(size, relations)
     candidates = [[c for c in range(size) if colours[c] == colours[pos]] for pos in range(size)]
+    return closing, candidates
 
+
+def _search(closing: list, candidates: list[list[int]], first: bool) -> list[Permutation]:
+    """The automorphisms that map each position to one of its candidates, in
+    lexicographic order by image sequence; only the first of them when
+    ``first`` is set."""
+    size = len(candidates)
     image = [-1] * size
     used = [False] * size
     found: list[Permutation] = []
@@ -133,22 +145,56 @@ def automorphisms(structure: FiniteStructure) -> list[Permutation]:
                 return False
         return True
 
-    def extend(pos: int) -> None:
+    def extend(pos: int) -> bool:
+        """Map positions ``pos..`` and report whether the search stops."""
         if pos == size:
             found.append(Permutation(tuple(image)))
-            return
+            return first
         for candidate in candidates[pos]:
             if used[candidate]:
                 continue
-            image[pos] = candidate
+            image[pos] = candidate  # consistent(pos) reads positions up to pos only
             used[candidate] = True
-            if consistent(pos):
-                extend(pos + 1)
-            image[pos] = -1
+            if consistent(pos) and extend(pos + 1):
+                return True
             used[candidate] = False
+        return False
 
     extend(0)
     return found
+
+
+def automorphisms(structure: FiniteStructure) -> list[Permutation]:
+    """The complete automorphism group, identity first, deterministic order."""
+    closing, candidates = _search_plan(structure)
+    return _search(closing, candidates, first=False)
+
+
+def _check_n(n: int, size: int) -> None:
+    if not 1 <= n <= size:
+        raise ValueError(f"n must be between 1 and {size}, got {n}")
+
+
+def least_outside_orbit(structure: FiniteStructure, n: int) -> tuple[int, ...] | None:
+    """The least n-subset, in ``itertools.combinations`` order, outside the
+    orbit of the least one, ``tuple(range(n))``; None when that orbit holds
+    every n-subset.
+
+    The group is never enumerated.  Each later subset gets one search that
+    maps positions ``0..n-1`` onto it and stops at its first automorphism.
+    Those searches share nothing below depth n, so together they visit no
+    more of those nodes than one enumeration of the group does.
+    """
+    size = structure.size()
+    _check_n(n, size)
+    closing, candidates = _search_plan(structure)
+    subsets = itertools.combinations(range(size), n)
+    next(subsets)  # the least subset lies in its own orbit
+    for subset in subsets:
+        onto = [[c for c in candidates[pos] if c in subset] for pos in range(n)]
+        if not _search(closing, onto + candidates[n:], first=True):
+            return subset
+    return None
 
 
 @dataclass(frozen=True)
@@ -165,9 +211,6 @@ class OrbitPartition:
     mode: str
     classes: tuple[tuple[tuple[int, ...], ...], ...]
 
-    def class_count(self) -> int:
-        return len(self.classes)
-
     def class_of(self, member: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
         key = tuple(sorted(member)) if self.mode == "subsets" else tuple(member)
         for cls in self.classes:
@@ -180,8 +223,7 @@ def orbit_partition(structure: FiniteStructure, n: int, mode: str = "subsets") -
     if mode not in ("tuples", "subsets"):
         raise ValueError(f"mode must be 'tuples' or 'subsets', got {mode!r}")
     size = structure.size()
-    if not 1 <= n <= size:
-        raise ValueError(f"n must be between 1 and {size}, got {n}")
+    _check_n(n, size)
     images = [g.mapping for g in automorphisms(structure)]
     if mode == "tuples":
         carrier = list(itertools.permutations(range(size), n))

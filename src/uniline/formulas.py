@@ -8,6 +8,7 @@ constant or function symbols, so every leaf is built from variables only.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import re
 from collections.abc import Iterator, Mapping
@@ -455,7 +456,10 @@ def semantic_items(
     variables still needs ``j`` enclosing quantifiers before it can occur in
     a formula whose free variables are the ``xs`` alone, so candidates with
     ``k + j`` beyond the bound are dropped; the stream then realizes exactly
-    the truth tables of all closable formulas within the bound.  Order is
+    the truth tables of all closable formulas within the bound.  At the last
+    layer no closure fits, so only candidates whose free variables lie within
+    ``xs`` are built: binary ones from two such operands, ``~a`` from one,
+    ``exists/forall v. a`` when ``free(a) - {v}`` does.  Order is
     deterministic: by layer, within a layer quantifiers first, then ``~ & |
     ->`` by operand index.  A candidate whose table was already kept is
     rejected first, and a formula is built only for a table that is kept.
@@ -499,19 +503,30 @@ def semantic_items(
         if open_vars is not None:
             yield keep(atom, table, 0, free, open_vars)
 
+    target = frozenset(xs)
     start = 0  # the first item of the previous layer
     for layer in range(1, max_depth + 1):
         count = len(formulas)
-        prev = range(start, count)
+        last = layer == max_depth
+        # the operands of this layer's candidates, in index order; at the last
+        # layer only those whose free variables lie within xs
+        ops = [i for i in range(count) if frees[i] <= target] if last else range(count)
+        first = bisect.bisect_left(ops, start)  # ops[first:] lie in the previous layer
+        prev = ops[first:]
+        binders = [
+            (i, var)
+            for i in range(start, count)
+            for var in opens[i]
+            if not last or frees[i] - {var} <= target
+        ]
         for ctor, fold in ((Exists, spc.exists), (Forall, spc.forall)):
-            for i in prev:
-                for var in opens[i]:
-                    table = fold(tabs[i], axes[var])
-                    if table in seen:
-                        continue
-                    open_vars = admit(table, layer)
-                    if open_vars is not None:
-                        yield keep(ctor(var, formulas[i]), table, layer, frees[i] - {var}, open_vars)
+            for i, var in binders:
+                table = fold(tabs[i], axes[var])
+                if table in seen:
+                    continue
+                open_vars = admit(table, layer)
+                if open_vars is not None:
+                    yield keep(ctor(var, formulas[i]), table, layer, frees[i] - {var}, open_vars)
         # tables lie within ``full``, so ``full ^ t`` is the negation of t
         negs = [full ^ t for t in tabs[:count]]
         for i in prev:
@@ -522,12 +537,13 @@ def semantic_items(
             if open_vars is not None:
                 yield keep(Not(formulas[i]), table, layer, frees[i], open_vars)
         # one admission step for & | ->; the second -> family pairs a
-        # previous-layer left operand with a shallower right one
+        # previous-layer left operand with a shallower right one.  ops[k] is
+        # j, so ops[:k + 1] are the operands up to j
         binary = (
-            (And, ((i, j, tabs[i] & tabs[j]) for j in prev for i in range(j + 1))),
-            (Or, ((i, j, tabs[i] | tabs[j]) for j in prev for i in range(j + 1))),
-            (Implies, ((i, j, negs[i] | tabs[j]) for j in prev for i in range(count))),
-            (Implies, ((i, j, negs[i] | tabs[j]) for i in prev for j in range(start))),
+            (And, ((i, j, tabs[i] & tabs[j]) for k, j in enumerate(prev, first) for i in ops[: k + 1])),
+            (Or, ((i, j, tabs[i] | tabs[j]) for k, j in enumerate(prev, first) for i in ops[: k + 1])),
+            (Implies, ((i, j, negs[i] | tabs[j]) for j in prev for i in ops)),
+            (Implies, ((i, j, negs[i] | tabs[j]) for i in prev for j in ops[:first])),
         )
         for ctor, candidates in binary:
             for i, j, table in candidates:

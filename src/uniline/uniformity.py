@@ -8,8 +8,10 @@ of pairwise-distinct elements.
 ``check_uniformity_schema`` decides the depth-bounded approximation by
 scanning the enumerated formula space; ``check_uniformity_orbits`` decides
 the semantic criterion (a single automorphism orbit on n-subsets), which is
-the depth-unbounded limit of the schema on finite structures.  Agreement of
-the two is the package's central cross-check.
+the depth-unbounded limit of the schema on finite structures.  It never
+enumerates the group: for each n-subset in turn it searches for one
+automorphism that maps the least n-subset onto it.  Agreement of the two
+deciders is the package's central cross-check.
 """
 
 from __future__ import annotations
@@ -113,12 +115,16 @@ def _meets(table: int, cells: list[int]) -> bool:
 
 
 def check_uniformity_orbits(structure: FiniteStructure, n: int) -> UniformityVerdict:
-    partition = autgroup.orbit_partition(structure, n, mode="subsets")
-    if partition.class_count() <= 1:
+    """Uniform when the least n-subset's orbit holds every n-subset; else the
+    certificate is the least subset and the least subset outside its orbit,
+    the least members of the first two classes of ``orbit_partition``."""
+    second = autgroup.least_outside_orbit(structure, n)
+    if second is None:
         return UniformityVerdict("orbits", n, True)
-    first = autgroup.elements_of(structure, partition.classes[0][0])
-    second = autgroup.elements_of(structure, partition.classes[1][0])
-    return UniformityVerdict("orbits", n, False, OrbitCounterexample(first, second))
+    first = autgroup.elements_of(structure, range(n))
+    return UniformityVerdict(
+        "orbits", n, False, OrbitCounterexample(first, autgroup.elements_of(structure, second))
+    )
 
 
 def check_uniformity_schema(structure: FiniteStructure, n: int, depth: int) -> UniformityVerdict:

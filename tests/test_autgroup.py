@@ -120,7 +120,7 @@ def test_orbits_chain3_singletons(chain3):
 
 def test_orbits_empty4_pairs_single_class(empty4):
     partition = orbit_partition(empty4, 2, mode="subsets")
-    assert partition.class_count() == 1
+    assert len(partition.classes) == 1
     assert len(partition.classes[0]) == 6
 
 

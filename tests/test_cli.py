@@ -103,6 +103,21 @@ class TestExitCodes:
         assert code == 2
         assert records[0]["error"] == f"assignment space 10^{int(n) + 4} exceeds the limit of 100,000,000 mask bits"
 
+    @pytest.mark.parametrize(
+        "n, error",
+        [("0", "n must be between 1 and 11, got 0"), ("12", "n must be between 1 and 11, got 12"),
+         ("1", "universe size 11 exceeds cap 10"), ("11", "universe size 11 exceeds cap 10")],
+    )
+    def test_orbit_decider_errors_exit_two(self, tmp_path, n, error):
+        path = tmp_path / "antichain11.txt"
+        path.write_text("signature\n  e/2\nuniverse\n  " + " ".join("abcdefghijk") + "\n", encoding="utf-8")
+        result = run(["uniformity", "--structure", str(path), "--n", n, "--method", "orbits"])
+        assert result.exit_code == 2
+        assert render_output(result, machine=True) == (
+            f'{{"command": "uniformity", "error": "{error}", "schema_version": 1}}\n'
+        )
+        assert render_output(result, machine=False) == f"error: {error}\n"
+
     def test_missing_file_exits_two(self):
         assert run(["structure", "parse", "--structure", "/nonexistent"]).exit_code == 2
 

@@ -1,11 +1,19 @@
 from __future__ import annotations
 
 import itertools
+import random
 import tracemalloc
 
 import pytest
 
-from uniline.corpus import beyond_depth_three, biclique_2_3, digraphs_up_to_iso
+from uniline.autgroup import ResourceCapError, elements_of, orbit_partition
+from uniline.corpus import (
+    antichain,
+    beyond_depth_three,
+    biclique_2_3,
+    crafted_structures,
+    digraphs_up_to_iso,
+)
 from uniline.formulas import (
     And,
     Atom,
@@ -22,6 +30,7 @@ from uniline.uniformity import (
     MAX_DEPTH,
     OrbitCounterexample,
     SchemaCounterexample,
+    UniformityVerdict,
     check_uniformity_orbits,
     check_uniformity_schema,
     distinguishing_formula,
@@ -246,6 +255,67 @@ class TestOrbits:
 
     def test_empty5_triples_uniform(self, empty5):
         assert check_uniformity_orbits(empty5, 3).uniform
+
+    def test_decider_equals_the_partition(self):
+        # every corpus and crafted structure at n = 1, 2, every n up to size
+        # 4, and three large groups at n = 1-3
+        questions = [(s, n) for size in range(1, 5) for s in digraphs_up_to_iso(size) for n in range(1, size + 1)]
+        questions += [(s, n) for s in digraphs_up_to_iso(5) for n in (1, 2)]
+        questions += [(s, n) for _, s in crafted_structures() for n in (1, 2)]
+        questions += [(s, n) for s in (antichain(8), clique(7), relabelled_product()) for n in (1, 2, 3)]
+        for structure, n in questions:
+            assert check_uniformity_orbits(structure, n) == partition_verdict(structure, n)
+
+    def test_high_symmetry_memory(self):
+        # the whole group of antichain9 is 9! = 362,880 permutations, about
+        # 100 MB; the decider holds one automorphism at a time
+        antichain9 = antichain(9)
+        tracemalloc.start()
+        try:
+            verdicts = [check_uniformity_orbits(antichain9, n) for n in (1, 2, 3)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(verdict.uniform for verdict in verdicts)
+        assert peak < 4 * 2**20
+
+    def test_error_contract(self):
+        # a bad n is reported before the size cap, and the cap holds at every
+        # n, even n = size, where one subset needs no search
+        antichain11 = antichain(11)
+        for n in (0, 12):
+            with pytest.raises(ValueError, match=f"^n must be between 1 and 11, got {n}$"):
+                check_uniformity_orbits(antichain11, n)
+        for n in (1, 11):
+            with pytest.raises(ResourceCapError, match="^universe size 11 exceeds cap 10$"):
+                check_uniformity_orbits(antichain11, n)
+
+
+def partition_verdict(structure, n):
+    """The orbit verdict read off the full orbit partition: uniform with one
+    class, else the least members of its first two classes."""
+    classes = orbit_partition(structure, n, mode="subsets").classes
+    if len(classes) == 1:
+        return UniformityVerdict("orbits", n, True)
+    first, second = (elements_of(structure, cls[0]) for cls in classes[:2])
+    return UniformityVerdict("orbits", n, False, OrbitCounterexample(first, second))
+
+
+def clique(size):
+    names = [f"v{i}" for i in range(size)]
+    return FiniteStructure.build(Signature.of(e=2), names, {"e": [(a, b) for a in names for b in names if a != b]})
+
+
+def relabelled_product():
+    """The 3-cycle with each vertex blown up into an arc-free pair (6
+    elements, a group of order 24), under shuffled element names."""
+    m = 2
+    arcs = [(u * m + i, (u + 1) % 3 * m + j) for u in range(3) for i in range(m) for j in range(m)]
+    names = [f"p{k}" for k in range(3 * m)]
+    random.Random(5).shuffle(names)
+    return FiniteStructure.build(
+        Signature.of(e=2), sorted(names), {"e": [(names[a], names[b]) for a, b in arcs]}
+    )
 
 
 class TestAgreement:
