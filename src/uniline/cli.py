@@ -299,12 +299,13 @@ def _cmd_line(args) -> CommandResult:
         shift = ordline.Shift(ordline.parse_rational(args.shift))
         base = ordline.parse_rational(args.base)
         tiles = ordline.tile_line(shift, base, args.window)
-        span = ordline.tiling_span(tiles)
-        lines = [f"{len(tiles)} tiles spanning {span}"] + [str(t) for t in tiles]
-        payload = {
-            "tiles": [[_rat(t.lo), _rat(t.hi)] for t in tiles],
-            "span": [_rat(span.lo), _rat(span.hi)],
-        }
+        # along the line each tile starts where the one before it ends, so each endpoint is formatted once
+        order = 1 if shift.displacement > 0 else -1
+        spatial = tiles[::order]
+        edges = _rats([spatial[0].lo] + [t.hi for t in spatial])
+        pairs = [list(pair) for pair in zip(edges, edges[1:])][::order]
+        lines = [f"{len(tiles)} tiles spanning [{edges[0]}, {edges[-1]})"] + [f"[{lo}, {hi})" for lo, hi in pairs]
+        payload = {"tiles": pairs, "span": [edges[0], edges[-1]]}
         return _result(args, 0, lines, payload)
     if args.action == "factor":
         x = ordline.parse_affine(args.map)

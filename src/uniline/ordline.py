@@ -228,10 +228,11 @@ MAX_WINDOW = 10_000
 def tile_line(shift: Shift, base: Fraction, window: int) -> list[Interval]:
     """The tiles ``[shift^j(base), shift^(j+1)(base))`` for j in -window..window-1.
 
-    For a lowering shift the endpoints of each tile are swapped so intervals
-    stay well-formed.  Consecutive tiles share exactly one endpoint, so the
-    family covers ``[shift^-window(base), shift^window(base))`` disjointly.
-    All 2*window tiles are built, so ``window`` is at most ``MAX_WINDOW``.
+    The 2*window + 1 points are built once, and each tile joins two
+    consecutive ones, swapped for a lowering shift so intervals stay
+    well-formed.  The family covers ``[shift^-window(base),
+    shift^window(base))`` disjointly.  All 2*window tiles are built, so
+    ``window`` is at most ``MAX_WINDOW``.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -239,13 +240,12 @@ def tile_line(shift: Shift, base: Fraction, window: int) -> list[Interval]:
         raise ValueError(f"window must be <= {MAX_WINDOW}")
     if shift.is_identity():
         raise ValueError("degenerate tiling: identity shift")
-    base = Fraction(base)
-    tiles = []
-    for j in range(-window, window):
-        lo = shift.iterate(j, base)
-        hi = shift.iterate(j + 1, base)
-        tiles.append(Interval(min(lo, hi), max(lo, hi)))
-    return tiles
+    step = shift.displacement
+    points = [shift.iterate(-window, Fraction(base))]
+    for _ in range(2 * window):
+        points.append(points[-1] + step)
+    pairs = zip(points, points[1:]) if step > 0 else zip(points[1:], points)
+    return [Interval(lo, hi) for lo, hi in pairs]
 
 
 def tiling_span(tiles: list[Interval]) -> Interval:

@@ -254,6 +254,17 @@ class TestCommands:
         assert len(records[0]["tiles"]) == 6
         assert records[0]["span"] == ["-2", "2"]
 
+    def test_line_tile_text_with_lowering_shift(self):
+        result = run(["line", "tile", "--shift", "-3", "--base", "1/2", "--window", "2"])
+        assert result.exit_code == 0
+        assert render_output(result, machine=False) == (
+            "4 tiles spanning [-11/2, 13/2)\n"
+            "[7/2, 13/2)\n"
+            "[1/2, 7/2)\n"
+            "[-5/2, 1/2)\n"
+            "[-11/2, -5/2)\n"
+        )
+
     def test_line_factor(self):
         code, records = machine(
             ["line", "factor", "--map", "2*x+1", "--shift", "1", "--side", "left"]

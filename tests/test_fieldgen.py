@@ -49,6 +49,10 @@ class TestLocalizedAddition:
     def test_identity(self, loc, x):
         assert loc_add(loc, loc.zero, x) == x
 
+    @given(localizations, rationals, rationals, rationals)
+    def test_associative(self, loc, x, y, w):
+        assert loc_add(loc, loc_add(loc, x, y), w) == loc_add(loc, x, loc_add(loc, y, w))
+
     @given(localizations, rationals, rationals)
     def test_commutative(self, loc, x, y):
         assert loc_add(loc, x, y) == loc_add(loc, y, x)
@@ -79,6 +83,14 @@ class TestLocalizedMultiplication:
     def test_shifted_positive_product(self):
         # closed form: 1 + (1*1)/2 = 3/2
         assert loc_mul(L13, Fraction(2), Fraction(2)) == Fraction(3, 2)
+
+    @given(localizations, rationals, rationals, rationals)
+    def test_associative(self, loc, x, y, w):
+        assert loc_mul(loc, loc_mul(loc, x, y), w) == loc_mul(loc, x, loc_mul(loc, y, w))
+
+    @given(localizations, rationals, rationals)
+    def test_commutative(self, loc, x, y):
+        assert loc_mul(loc, x, y) == loc_mul(loc, y, x)
 
     @given(localizations, rationals)
     def test_unit_law(self, loc, x):
@@ -168,6 +180,38 @@ class TestExactDecision:
         for name, triple in failed.items():
             assert len(triple) == 3 and loc.zero not in triple
             assert not laws[name](*triple), name
+
+    def test_broken_addition_caught_on_the_reduced_grid_with_rechecked_counterexamples(self, monkeypatch):
+        def skewed(loc, x, y):
+            # degree 1 in each variable, like the real law, but not commutative
+            return loc_add(loc, x, y) + (x - y) / 2
+
+        monkeypatch.setattr(fieldgen, "loc_add", skewed)
+        loc = L13
+        report = verify_field_axioms(loc)
+        failed = {check.name: check.counterexample for check in report.failed()}
+
+        def add(x, y):
+            return skewed(loc, x, y)
+
+        def mul(x, y):
+            return loc_mul(loc, x, y)
+
+        # the laws that read the addition, with their degrees in (x, y, w)
+        laws = {
+            "add_associative": ((1, 1, 1), lambda x, y, w: add(add(x, y), w) == add(x, add(y, w))),
+            "add_commutative": ((1, 1, 0), lambda x, y, w: add(x, y) == add(y, x)),
+            "add_identity": ((1, 0, 0), lambda x, y, w: add(loc.zero, x) == x),
+            "add_inverse": ((1, 0, 0), lambda x, y, w: add(x, loc_neg(loc, x)) == loc.zero),
+            "distributive": ((1, 1, 1), lambda x, y, w: mul(x, add(y, w)) == add(mul(x, y), mul(x, w))),
+        }
+        assert {"add_associative", "add_commutative", "add_identity"} <= set(failed) <= set(laws)
+        grid = fieldgen._grid(loc)
+        for name, triple in failed.items():
+            degrees, law = laws[name]
+            assert len(triple) == 3
+            assert all(value in grid[: degree + 1] for value, degree in zip(triple, degrees)), name
+            assert not law(*triple), name
 
     def test_correct_iso_has_no_failure(self):
         assert homomorphism_failure(L01, L13, localization_iso(L01, L13)) is None

@@ -206,6 +206,16 @@ class TestTiling:
             lo, hi = tiles[j].lo, tiles[j].hi
             assert {shift(lo), shift(hi)} == {tiles[j + 1].lo, tiles[j + 1].hi}
 
+    @given(st.builds(Shift, nonzero_rationals.map(abs)), st.booleans(), rationals, st.integers(1, 40))
+    def test_equals_two_iterates_per_tile(self, shift, lowering, base, window):
+        if lowering:
+            shift = shift.inverse()
+        reference = []
+        for j in range(-window, window):
+            lo, hi = shift.iterate(j, base), shift.iterate(j + 1, base)
+            reference.append(Interval(min(lo, hi), max(lo, hi)))
+        assert tile_line(shift, base, window) == reference
+
     def test_pair_union_identity(self):
         # [c, f(c)) and [f(c), f2(c)) meet exactly at f(c) and join to [c, f2(c))
         f = Shift(Fraction(3, 2))
