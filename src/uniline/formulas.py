@@ -408,8 +408,7 @@ class SemanticItem:
 
     ``table`` covers assignments of ``xs + pool`` into the universe, encoded
     per :mod:`uniline.tables`.  ``open_vars`` lists the pool variables the
-    table actually varies along; the formula may mention further pool
-    variables vacuously.
+    table actually varies along: exactly its formula's free pool variables.
     """
 
     formula: Formula
@@ -450,19 +449,27 @@ def semantic_items(
 ) -> Iterator[SemanticItem]:
     """Stream of first-per-truth-table formulas within the depth bound.
 
-    Combination candidates at each depth layer are built from previously kept
-    representatives only, quantifying over every pool variable a table
-    depends on.  A table reached at depth ``k`` that depends on ``j`` pool
-    variables still needs ``j`` enclosing quantifiers before it can occur in
-    a formula whose free variables are the ``xs`` alone, so candidates with
-    ``k + j`` beyond the bound are dropped; the stream then realizes exactly
-    the truth tables of all closable formulas within the bound.  At the last
-    layer no closure fits, so only candidates whose free variables lie within
-    ``xs`` are built: binary ones from two such operands, ``~a`` from one,
-    ``exists/forall v. a`` when ``free(a) - {v}`` does.  Order is
-    deterministic: by layer, within a layer quantifiers first, then ``~ & |
-    ->`` by operand index.  A candidate whose table was already kept is
-    rejected first, and a formula is built only for a table that is kept.
+    Candidates at each layer combine previously kept representatives and
+    quantify over the pool variables a table varies along, its open ones.  A
+    table reached at depth ``k`` with ``j`` open variables needs ``j`` more
+    quantifiers to close, so it is dropped when ``k + j`` exceeds the bound.
+    So is a vacuous candidate, one with a free pool variable that is not
+    open.  Neither marks its table seen.
+
+    Dropping vacuous candidates loses no table.  ``x1`` is never bound, so
+    putting it in place of a vacuous pool variable keeps the table and the
+    depth and removes one free pool variable.  By induction on (depth,
+    number of free pool variables), every table of a formula over ``xs +
+    pool`` whose depth plus open variables fit the bound is then kept by a
+    non-vacuous formula.  This needs both ``->`` families, which build every
+    ordered pair of kept operands, and a non-empty ``xs``.
+
+    At the last layer only candidates whose free variables lie within ``xs``
+    are built (``exists/forall v. a`` when ``free(a) - {v}`` does), a pure
+    speed-up: no other candidate could be kept.  Order is deterministic: by
+    layer, within a layer quantifiers first, then ``~ & | ->`` by operand
+    index.  A candidate whose table was already kept is rejected first, and
+    a formula is built only for a table that is kept.
     """
     spc, axes, relation_atoms, equality_atoms, pool_axes = _scan_plan(
         structure.signature, xs, pool, structure.size()
@@ -477,6 +484,7 @@ def semantic_items(
     tabs: list[int] = []
     seen: set[int] = set()
     full = spc.full
+    target = frozenset(xs)
 
     def admit(table: int, layer: int) -> tuple[str, ...] | None:
         """The pool variables a new table varies along, or None when closing
@@ -488,22 +496,23 @@ def semantic_items(
         open_vars = tuple([v for v, stride, inner in pool_axes if (table ^ (table >> stride)) & inner])
         return None if layer + len(open_vars) > max_depth else open_vars
 
-    def keep(formula: Formula, table: int, layer: int, free: frozenset[str], open_vars) -> SemanticItem:
+    def keep(formula: Formula, table: int, layer: int, free: frozenset[str], open_vars) -> Iterator[SemanticItem]:
+        if len(free - target) > len(open_vars):
+            return
         seen.add(table)
         formulas.append(formula)
         frees.append(free)
         opens.append(open_vars)
         tabs.append(table)
-        return SemanticItem(formula, table, layer, free, open_vars)
+        yield SemanticItem(formula, table, layer, free, open_vars)
 
     for atom, free, table in atoms:
         if table in seen:
             continue
         open_vars = admit(table, 0)
         if open_vars is not None:
-            yield keep(atom, table, 0, free, open_vars)
+            yield from keep(atom, table, 0, free, open_vars)
 
-    target = frozenset(xs)
     start = 0  # the first item of the previous layer
     for layer in range(1, max_depth + 1):
         count = len(formulas)
@@ -526,7 +535,7 @@ def semantic_items(
                     continue
                 open_vars = admit(table, layer)
                 if open_vars is not None:
-                    yield keep(ctor(var, formulas[i]), table, layer, frees[i] - {var}, open_vars)
+                    yield from keep(ctor(var, formulas[i]), table, layer, frees[i] - {var}, open_vars)
         # tables lie within ``full``, so ``full ^ t`` is the negation of t
         negs = [full ^ t for t in tabs[:count]]
         for i in prev:
@@ -535,10 +544,12 @@ def semantic_items(
                 continue
             open_vars = admit(table, layer)
             if open_vars is not None:
-                yield keep(Not(formulas[i]), table, layer, frees[i], open_vars)
+                yield from keep(Not(formulas[i]), table, layer, frees[i], open_vars)
         # one admission step for & | ->; the second -> family pairs a
-        # previous-layer left operand with a shallower right one.  ops[k] is
-        # j, so ops[:k + 1] are the operands up to j
+        # previous-layer left operand with a shallower right one.  It kept no
+        # table in any scan measured, but no proof shows it redundant: the
+        # docstring's argument needs every ordered -> pair.  ops[k] is j, so
+        # ops[:k + 1] are the operands up to j
         binary = (
             (And, ((i, j, tabs[i] & tabs[j]) for k, j in enumerate(prev, first) for i in ops[: k + 1])),
             (Or, ((i, j, tabs[i] | tabs[j]) for k, j in enumerate(prev, first) for i in ops[: k + 1])),
@@ -551,5 +562,5 @@ def semantic_items(
                     continue
                 open_vars = admit(table, layer)
                 if open_vars is not None:
-                    yield keep(ctor(formulas[i], formulas[j]), table, layer, frees[i] | frees[j], open_vars)
+                    yield from keep(ctor(formulas[i], formulas[j]), table, layer, frees[i] | frees[j], open_vars)
         start = count

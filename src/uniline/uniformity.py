@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import autgroup, tables
-from .formulas import Exists, Formula, semantic_items
+from .formulas import Formula, semantic_items
 from .structures import FiniteStructure
 
 # The deepest scan allowed.  Depth 4 is the measured horizon: criterion 1
@@ -69,21 +69,12 @@ def _check_depth(depth: int) -> None:
 
 def _closed_instances(structure: FiniteStructure, n: int, depth: int) -> Iterator[tuple[Formula, int]]:
     """(formula, table) of each schema instance the depth-bounded scan tests,
-    in enumeration order; leftover pool variables are closed off as described
-    in ``check_uniformity_schema``."""
+    in enumeration order: each kept item with no open variable."""
     xs = tuple(f"x{i}" for i in range(1, n + 1))
     pool = tuple(f"y{i}" for i in range(1, depth + 1))
-    target = frozenset(xs)
     for item in semantic_items(structure, xs, pool, depth):
-        if item.open_vars:
-            continue  # table still depends on a bound-pool variable
-        extra = item.free - target
-        if item.depth + len(extra) > depth:
-            continue
-        report: Formula = item.formula
-        for var in sorted(extra, reverse=True):
-            report = Exists(var, report)
-        yield report, item.table
+        if not item.open_vars:
+            yield item.formula, item.table
 
 
 def _arrangements(spc: tables.AssignmentSpace, positions: tuple[int, ...], depth: int) -> list[int]:
@@ -133,10 +124,7 @@ def check_uniformity_schema(structure: FiniteStructure, n: int, depth: int) -> U
     The scan walks the semantically deduplicated enumeration, so each truth
     table is tested once, at its first formula in enumeration order.  Tables
     that vary along a bound-variable axis are not schema instances and are
-    skipped; tables reached first by a formula with leftover pool variables
-    are tested through its existential closure when that closure still fits
-    the depth bound (the closure has the same table, so the reported
-    counterexample re-verifies by direct evaluation).
+    skipped.  A reported counterexample re-verifies by direct evaluation.
     """
     size = structure.size()
     if not 1 <= n <= size:
@@ -149,7 +137,7 @@ def check_uniformity_schema(structure: FiniteStructure, n: int, depth: int) -> U
         if hit == 0 or hit == carrier:
             continue  # no subset is met, or every subset is
         met = [_meets(table, cells) for cells in arrangements]
-        if any(met) and not all(met):
+        if not all(met):  # hit != 0, so some subset is met
             pad = (0,) * depth
             witness = next(t for t in itertools.permutations(range(size), n) if spc.test(table, t + pad))
             violating = subsets[met.index(False)]

@@ -222,6 +222,19 @@ class TestExactDecision:
         assert op == "mul"
         assert wrong(loc_mul(L01, x, y)) != loc_mul(L13, wrong(x), wrong(y))
 
+    def test_broken_multiplication_caught_past_the_first_grid_pair(self, monkeypatch):
+        first, second = L01, L13
+        z = first.zero
+
+        def skewed(loc, x, y):
+            # 0 at the first grid pair (z+1, z+1), 1 at the second (z+1, z+2)
+            return loc_mul(loc, x, y) + ((x - z - 1) + (y - z - 1) if loc == first else 0)
+
+        monkeypatch.setattr(fieldgen, "loc_mul", skewed)
+        iso = localization_iso(first, second)
+        assert homomorphism_failure(first, second, iso) == ("mul", z + 1, z + 2)
+        assert iso(skewed(first, z + 1, z + 2)) != skewed(second, iso(z + 1), iso(z + 2))
+
 
 class TestLocalizationIso:
     def test_example(self):

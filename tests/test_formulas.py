@@ -334,9 +334,10 @@ def mixed_structures(draw, max_size):
 
 def assert_admission_invariant(structure, max_depth):
     """Each kept item's open variables are exactly the pool variables its
-    table is not constant along, all of them free, within the depth budget.
-    So admission reads the table alone; since layers only rise along the
-    stream, a table rejected by the budget could never be kept later."""
+    table is not constant along, and exactly its free pool variables (no kept
+    item is vacuous), within the depth budget.  So admission reads the table
+    alone; since layers only rise along the stream, a table rejected by the
+    budget could never be kept later."""
     xs = ("x1",)
     pool = tuple(f"y{i}" for i in range(1, max_depth + 1))
     spc = space(structure.size(), 1 + max_depth)
@@ -345,7 +346,7 @@ def assert_admission_invariant(structure, max_depth):
     for item in semantic_items(structure, xs, pool, max_depth):
         varying = tuple(v for axis, v in enumerate(pool, 1) if not spc.constant_along(item.table, axis))
         assert item.open_vars == varying
-        assert set(item.open_vars) <= item.free
+        assert item.free - set(xs) == set(item.open_vars)
         assert item.depth + len(item.open_vars) <= max_depth
         assert item.depth >= last_depth and item.table not in tables
         last_depth = item.depth
