@@ -362,7 +362,7 @@ def _layer(formulas: list[Formula], start: int, pool: tuple[str, ...]) -> Iterat
     formulas present at the first step (the caller appends while this runs),
     in the canonical order: quantifiers, negation, then the binary
     connectives by operand index.  ``semantic_items`` mirrors this order with
-    its own candidate loop (it additionally prunes by table dependencies)."""
+    one admission loop over the same families (it also prunes by table)."""
     count = len(formulas)
     prev = range(start, count)
     binders = []
@@ -451,10 +451,11 @@ def semantic_items(
 
     Candidates at each layer combine previously kept representatives and
     quantify over the pool variables a table varies along, its open ones.  A
-    table reached at depth ``k`` with ``j`` open variables needs ``j`` more
-    quantifiers to close, so it is dropped when ``k + j`` exceeds the bound.
-    So is a vacuous candidate, one with a free pool variable that is not
-    open.  Neither marks its table seen.
+    table varies only along variables free in its formula, so admission reads
+    the table alone.  A table reached at depth ``k`` with ``j`` open variables
+    needs ``j`` more quantifiers to close, so it is dropped when ``k + j``
+    exceeds the bound.  So is a vacuous candidate, one with a free pool
+    variable that is not open.  Neither marks its table seen.
 
     Dropping vacuous candidates loses no table.  ``x1`` is never bound, so
     putting it in place of a vacuous pool variable keeps the table and the
@@ -468,8 +469,8 @@ def semantic_items(
     are built (``exists/forall v. a`` when ``free(a) - {v}`` does), a pure
     speed-up: no other candidate could be kept.  Order is deterministic: by
     layer, within a layer quantifiers first, then ``~ & | ->`` by operand
-    index.  A candidate whose table was already kept is rejected first, and
-    a formula is built only for a table that is kept.
+    index.  One admission step serves every candidate: a table already kept
+    is rejected first, and a formula is built only within the budget.
     """
     spc, axes, relation_atoms, equality_atoms, pool_axes = _scan_plan(
         structure.signature, xs, pool, structure.size()
@@ -483,84 +484,60 @@ def semantic_items(
     opens: list[tuple[str, ...]] = []
     tabs: list[int] = []
     seen: set[int] = set()
-    full = spc.full
     target = frozenset(xs)
 
-    def admit(table: int, layer: int) -> tuple[str, ...] | None:
-        """The pool variables a new table varies along, or None when closing
-        them off would exceed the depth bound.  A table varies only along
-        variables free in its formula, so this reads the table alone.  A
-        rejected table is not marked seen: it would be rejected again, but
-        holding every rejected table took the depth-4 scan of the 2x3
-        biclique from 26 MB to 2.9 GB."""
-        open_vars = tuple([v for v, stride, inner in pool_axes if (table ^ (table >> stride)) & inner])
-        return None if layer + len(open_vars) > max_depth else open_vars
+    def quantify(ctor):
+        return lambda i, var: (ctor(var, formulas[i]), frees[i] - {var})
 
-    def keep(formula: Formula, table: int, layer: int, free: frozenset[str], open_vars) -> Iterator[SemanticItem]:
-        if len(free - target) > len(open_vars):
+    def connect(ctor):
+        return lambda i, j: (ctor(formulas[i], formulas[j]), frees[i] | frees[j])
+
+    def families(layer: int, start: int, count: int):
+        """The candidate families of one layer in canonical order, each one
+        (build, candidates) and made only when reached: candidates yield
+        (i, j, table), and build(i, j) gives (formula, free)."""
+        if layer == 0:
+            yield lambda i, _: atoms[i][:2], ((i, None, t) for i, (_, _, t) in enumerate(atoms))
             return
-        seen.add(table)
-        formulas.append(formula)
-        frees.append(free)
-        opens.append(open_vars)
-        tabs.append(table)
-        yield SemanticItem(formula, table, layer, free, open_vars)
-
-    for atom, free, table in atoms:
-        if table in seen:
-            continue
-        open_vars = admit(table, 0)
-        if open_vars is not None:
-            yield from keep(atom, table, 0, free, open_vars)
-
-    start = 0  # the first item of the previous layer
-    for layer in range(1, max_depth + 1):
-        count = len(formulas)
         last = layer == max_depth
-        # the operands of this layer's candidates, in index order; at the last
-        # layer only those whose free variables lie within xs
+        # this layer's operands in index order; at the last layer only those free within xs
         ops = [i for i in range(count) if frees[i] <= target] if last else range(count)
         first = bisect.bisect_left(ops, start)  # ops[first:] lie in the previous layer
         prev = ops[first:]
-        binders = [
-            (i, var)
-            for i in range(start, count)
-            for var in opens[i]
-            if not last or frees[i] - {var} <= target
-        ]
-        for ctor, fold in ((Exists, spc.exists), (Forall, spc.forall)):
-            for i, var in binders:
-                table = fold(tabs[i], axes[var])
-                if table in seen:
-                    continue
-                open_vars = admit(table, layer)
-                if open_vars is not None:
-                    yield from keep(ctor(var, formulas[i]), table, layer, frees[i] - {var}, open_vars)
-        # tables lie within ``full``, so ``full ^ t`` is the negation of t
-        negs = [full ^ t for t in tabs[:count]]
-        for i in prev:
-            table = negs[i]
-            if table in seen:
-                continue
-            open_vars = admit(table, layer)
-            if open_vars is not None:
-                yield from keep(Not(formulas[i]), table, layer, frees[i], open_vars)
-        # one admission step for & | ->; the second -> family pairs a
-        # previous-layer left operand with a shallower right one.  It kept no
-        # table in any scan measured, but no proof shows it redundant: the
-        # docstring's argument needs every ordered -> pair.  ops[k] is j, so
-        # ops[:k + 1] are the operands up to j
-        binary = (
-            (And, ((i, j, tabs[i] & tabs[j]) for k, j in enumerate(prev, first) for i in ops[: k + 1])),
-            (Or, ((i, j, tabs[i] | tabs[j]) for k, j in enumerate(prev, first) for i in ops[: k + 1])),
-            (Implies, ((i, j, negs[i] | tabs[j]) for j in prev for i in ops)),
-            (Implies, ((i, j, negs[i] | tabs[j]) for i in prev for j in ops[:first])),
-        )
-        for ctor, candidates in binary:
+        binders = [(i, var) for i in range(start, count) for var in opens[i]
+                   if not last or frees[i] - {var} <= target]
+        yield quantify(Exists), ((i, var, spc.exists(tabs[i], axes[var])) for i, var in binders)
+        yield quantify(Forall), ((i, var, spc.forall(tabs[i], axes[var])) for i, var in binders)
+        # tables lie within ``spc.full``, so ``spc.full ^ t`` is the negation of t
+        negs = [spc.full ^ t for t in tabs[:count]]
+        yield lambda i, _: (Not(formulas[i]), frees[i]), ((i, None, negs[i]) for i in prev)
+        # ops[k] is j, so ops[:k + 1] are the operands up to j
+        yield connect(And), ((i, j, tabs[i] & tabs[j]) for k, j in enumerate(prev, first) for i in ops[: k + 1])
+        yield connect(Or), ((i, j, tabs[i] | tabs[j]) for k, j in enumerate(prev, first) for i in ops[: k + 1])
+        yield connect(Implies), ((i, j, negs[i] | tabs[j]) for j in prev for i in ops)
+        # the second -> family pairs a previous-layer left operand with a shallower
+        # right one.  It kept no table in any scan measured, but no proof shows it
+        # redundant: the docstring's argument needs every ordered -> pair
+        yield connect(Implies), ((i, j, negs[i] | tabs[j]) for i in prev for j in ops[:first])
+
+    count = 0
+    for layer in range(max_depth + 1):
+        start, count = count, len(formulas)  # start is the first item of the previous layer
+        for build, candidates in families(layer, start, count):
             for i, j, table in candidates:
                 if table in seen:
                     continue
-                open_vars = admit(table, layer)
-                if open_vars is not None:
-                    yield from keep(ctor(formulas[i], formulas[j]), table, layer, frees[i] | frees[j], open_vars)
-        start = count
+                open_vars = tuple([v for v, stride, inner in pool_axes if (table ^ (table >> stride)) & inner])
+                # a rejected table is not marked seen: it would be rejected again, but holding
+                # every rejected table took the depth-4 scan of the 2x3 biclique from 26 MB to 2.9 GB
+                if layer + len(open_vars) > max_depth:
+                    continue
+                formula, free = build(i, j)
+                if len(free - target) > len(open_vars):
+                    continue
+                seen.add(table)
+                formulas.append(formula)
+                frees.append(free)
+                opens.append(open_vars)
+                tabs.append(table)
+                yield SemanticItem(formula, table, layer, free, open_vars)

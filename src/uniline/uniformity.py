@@ -127,8 +127,7 @@ def check_uniformity_schema(structure: FiniteStructure, n: int, depth: int) -> U
     skipped.  A reported counterexample re-verifies by direct evaluation.
     """
     size = structure.size()
-    if not 1 <= n <= size:
-        raise ValueError(f"n must be between 1 and {size}, got {n}")
+    autgroup._check_n(n, size)
     _check_depth(depth)
     spc, subsets, arrangements, carrier = _subset_plan(size, n, depth)
 

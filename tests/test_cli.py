@@ -32,6 +32,13 @@ def chain3_file(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def antichain11_file(tmp_path):
+    path = tmp_path / "antichain11.txt"
+    path.write_text("signature\n  e/2\nuniverse\n  " + " ".join("abcdefghijk") + "\n", encoding="utf-8")
+    return str(path)
+
+
 def machine(argv: list[str]) -> tuple[int, list[dict]]:
     result = run(argv)
     text = render_output(result, machine=True)
@@ -108,15 +115,39 @@ class TestExitCodes:
         [("0", "n must be between 1 and 11, got 0"), ("12", "n must be between 1 and 11, got 12"),
          ("1", "universe size 11 exceeds cap 10"), ("11", "universe size 11 exceeds cap 10")],
     )
-    def test_orbit_decider_errors_exit_two(self, tmp_path, n, error):
-        path = tmp_path / "antichain11.txt"
-        path.write_text("signature\n  e/2\nuniverse\n  " + " ".join("abcdefghijk") + "\n", encoding="utf-8")
-        result = run(["uniformity", "--structure", str(path), "--n", n, "--method", "orbits"])
+    def test_orbit_decider_errors_exit_two(self, antichain11_file, n, error):
+        result = run(["uniformity", "--structure", antichain11_file, "--n", n, "--method", "orbits"])
         assert result.exit_code == 2
         assert render_output(result, machine=True) == (
             f'{{"command": "uniformity", "error": "{error}", "schema_version": 1}}\n'
         )
         assert render_output(result, machine=False) == f"error: {error}\n"
+
+    @pytest.mark.parametrize("n", ["0", "12"])
+    def test_schema_decider_n_out_of_range_exits_two(self, antichain11_file, n):
+        # the same message as the orbit decider's, checked before the depth and the space
+        result = run(["uniformity", "--structure", antichain11_file, "--n", n, "--method", "schema"])
+        assert result.exit_code == 2
+        error = f"n must be between 1 and 11, got {n}"
+        assert render_output(result, machine=True) == (
+            f'{{"command": "uniformity", "error": "{error}", "schema_version": 1}}\n'
+        )
+        assert render_output(result, machine=False) == f"error: {error}\n"
+
+    def test_non_uniform_text_output(self, chain3_file):
+        result = run(["uniformity", "--structure", chain3_file, "--n", "1", "--method", "both", "--depth", "2"])
+        assert result.exit_code == 1
+        assert render_output(result, machine=False) == (
+            "schema: counterexample exists y1. lt(x1,y1) holds at (a), fails at (c)\n"
+            "orbits: subsets (a) and (b) lie in different orbits\n"
+        )
+
+    def test_uniform_text_output(self, tmp_path):
+        path = tmp_path / "cycle3.txt"
+        path.write_text("signature\n  e/2\nuniverse\n  a b c\nrelations\n  e: (a,b) (b,c) (c,a)\n", encoding="utf-8")
+        result = run(["uniformity", "--structure", str(path), "--n", "1", "--method", "both", "--depth", "2"])
+        assert result.exit_code == 0
+        assert render_output(result, machine=False) == "schema: uniform (n=1)\norbits: uniform (n=1)\n"
 
     def test_missing_file_exits_two(self):
         assert run(["structure", "parse", "--structure", "/nonexistent"]).exit_code == 2
