@@ -12,7 +12,11 @@ vertices by that isomorphism turns the graph into one of the extensions.
 The image of a mask under a permutation is the OR of the images of its bits.
 So each base form and each arc set of the new vertex gets its list of images,
 one per permutation, built once, and an extension's canonical form is the
-least of the position-wise ORs of two such lists.
+least of the position-wise ORs of two such lists.  The base's arcs and the
+new vertex's arcs map to disjoint bits, so an OR is at least its base image.
+The permutations are therefore tried in increasing order of the base image,
+and the search stops at the first whose base image is no less than the best
+form found: no later permutation can give a smaller one.
 """
 
 from __future__ import annotations
@@ -54,9 +58,19 @@ def _canonical_masks(size: int) -> tuple[int, ...]:
     arcs = [(new, j) for j in range(new)] + [(j, new) for j in range(new)]
     bases = [images(base_pairs, mask) for mask in _canonical_masks(new)]
     extensions = [images(arcs, code) for code in range(1 << len(arcs))]
-    return tuple(sorted({
-        min(map(operator.or_, base, extension)) for base in bases for extension in extensions
-    }))
+    forms = set()
+    for base in bases:
+        ranked = sorted(range(len(perms)), key=base.__getitem__)
+        for extension in extensions:
+            best = base[ranked[0]] | extension[ranked[0]]
+            for k in ranked:
+                if base[k] >= best:
+                    break
+                form = base[k] | extension[k]
+                if form < best:
+                    best = form
+            forms.add(best)
+    return tuple(sorted(forms))
 
 
 def digraphs_up_to_iso(size: int) -> list[FiniteStructure]:

@@ -101,8 +101,10 @@ class Interval:
     hi: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lo", Fraction(self.lo))
-        object.__setattr__(self, "hi", Fraction(self.hi))
+        if type(self.lo) is not Fraction:
+            object.__setattr__(self, "lo", Fraction(self.lo))
+        if type(self.hi) is not Fraction:
+            object.__setattr__(self, "hi", Fraction(self.hi))
         if self.lo > self.hi:
             raise ValueError(f"interval endpoints out of order: [{self.lo}, {self.hi})")
 

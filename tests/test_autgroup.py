@@ -63,7 +63,7 @@ def random_mixed_structure(rng: random.Random) -> FiniteStructure:
 
     Half the time the tuples are closed under the powers of a random
     permutation, which is then an automorphism, so large groups and
-    non-trivial colour classes occur often."""
+    positions with equal candidate keys occur often."""
     size = rng.randint(1, 6)
     universe = [f"u{i}" for i in range(size)]
     arities = [rng.randint(1, 3) for _ in range(2)]

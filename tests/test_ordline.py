@@ -225,6 +225,16 @@ class TestTiling:
         assert not first.intersects(second)
         assert Interval(first.lo, second.hi).width() == first.width() + second.width()
 
+    def test_endpoints_are_fractions(self):
+        half = Fraction(1, 2)
+        kept = Interval(half, Fraction(3))
+        assert kept.lo is half
+        converted = Interval(1, "5/2")
+        assert (type(converted.lo), type(converted.hi)) == (Fraction, Fraction)
+        assert (converted.lo, converted.hi) == (1, Fraction(5, 2))
+        with pytest.raises(ValueError, match="out of order"):
+            Interval(2, half)
+
 
 class TestFactorization:
     def test_examples(self):

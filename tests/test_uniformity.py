@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from uniline.autgroup import ResourceCapError, elements_of, orbit_partition
+from uniline.autgroup import ResourceCapError, brute_force_automorphisms, elements_of, orbit_partition
 from uniline.corpus import (
     antichain,
     beyond_depth_three,
@@ -35,6 +35,8 @@ from uniline.uniformity import (
     check_uniformity_schema,
     distinguishing_formula,
 )
+
+from test_autgroup import random_mixed_structure
 
 
 def naive_schema_check(structure, n, depth):
@@ -265,6 +267,14 @@ class TestOrbits:
         questions += [(s, n) for s in (antichain(8), clique(7), relabelled_product()) for n in (1, 2, 3)]
         for structure, n in questions:
             assert check_uniformity_orbits(structure, n) == partition_verdict(structure, n)
+        # random structures with unary and ternary relations and repeated
+        # coordinates, at every n, against the brute-force group
+        rng = random.Random(15)
+        for _ in range(300):
+            structure = random_mixed_structure(rng)
+            group = brute_force_automorphisms(structure)
+            for n in range(1, structure.size() + 1):
+                assert check_uniformity_orbits(structure, n) == partition_verdict(structure, n, group)
 
     def test_high_symmetry_memory(self):
         # the whole group of antichain9 is 9! = 362,880 permutations, about
@@ -291,13 +301,20 @@ class TestOrbits:
                 check_uniformity_orbits(antichain11, n)
 
 
-def partition_verdict(structure, n):
-    """The orbit verdict read off the full orbit partition: uniform with one
-    class, else the least members of its first two classes."""
-    classes = orbit_partition(structure, n, mode="subsets").classes
-    if len(classes) == 1:
+def partition_verdict(structure, n, group=None):
+    """The orbit verdict read off the orbits of the n-subsets: uniform with
+    one orbit, else the least subset and the least subset outside its orbit.
+    The orbits are those of ``orbit_partition``, or of ``group`` if given."""
+    if group is None:
+        classes = orbit_partition(structure, n, mode="subsets").classes
+        outside = classes[1][0] if len(classes) > 1 else None
+    else:
+        orbit = {tuple(sorted(g(i) for i in range(n))) for g in group}
+        subsets = itertools.combinations(range(structure.size()), n)
+        outside = next((subset for subset in subsets if subset not in orbit), None)
+    if outside is None:
         return UniformityVerdict("orbits", n, True)
-    first, second = (elements_of(structure, cls[0]) for cls in classes[:2])
+    first, second = elements_of(structure, range(n)), elements_of(structure, outside)
     return UniformityVerdict("orbits", n, False, OrbitCounterexample(first, second))
 
 
