@@ -423,7 +423,8 @@ def _scan_plan(signature: Signature, xs: tuple[str, ...], pool: tuple[str, ...],
     """The part of a scan's set-up that does not read the structure: the
     space, the axis of each variable, each relation atom with its free
     variables, relation index and axes, each equality atom with its free
-    variables and table, and ``(var, stride, inner)`` for each pool axis.
+    variables and table, ``(var, stride, inner)`` for each pool axis, and the
+    bit mask of each open set.
     The equality tables number at most ``len(xs + pool)`` squared, no more
     than the space's own axis masks, since ``n <= size``."""
     variables = xs + pool
@@ -438,7 +439,9 @@ def _scan_plan(signature: Signature, xs: tuple[str, ...], pool: tuple[str, ...],
         else:
             equality_atoms.append((atom, free_vars(atom), spc.equality_table(axes[atom.left], axes[atom.right])))
     pool_axes = tuple((v, spc.strides[axes[v]], spc.inner[axes[v]]) for v in pool)
-    return spc, axes, tuple(relation_atoms), tuple(equality_atoms), pool_axes
+    # every open set, a tuple of pool variables in pool order, in order of its bit mask
+    masks = {tuple(v for k, v in enumerate(pool) if mask >> k & 1): mask for mask in range(1 << len(pool))}
+    return spc, axes, tuple(relation_atoms), tuple(equality_atoms), pool_axes, masks
 
 
 def semantic_items(
@@ -452,10 +455,8 @@ def semantic_items(
     Candidates at each layer combine previously kept representatives and
     quantify over the pool variables a table varies along, its open ones.  A
     table varies only along variables free in its formula, so admission reads
-    the table alone.  A table reached at depth ``k`` with ``j`` open variables
-    needs ``j`` more quantifiers to close, so it is dropped when ``k + j``
-    exceeds the bound.  So is a vacuous candidate, one with a free pool
-    variable that is not open.  Neither marks its table seen.
+    the table alone.  A vacuous candidate, one with a free pool variable that
+    is not open, is dropped and does not mark its table seen.
 
     Dropping vacuous candidates loses no table.  ``x1`` is never bound, so
     putting it in place of a vacuous pool variable keeps the table and the
@@ -465,23 +466,33 @@ def semantic_items(
     non-vacuous formula.  This needs both ``->`` families, which build every
     ordered pair of kept operands, and a non-empty ``xs``.
 
-    At the last layer only candidates whose free variables lie within ``xs``
-    are built (``exists/forall v. a`` when ``free(a) - {v}`` does), a pure
-    speed-up: no other candidate could be kept.  Order is deterministic: by
-    layer, within a layer quantifiers first, then ``~ & | ->`` by operand
-    index.  One admission step serves every candidate: a table already kept
-    is rejected first, and a formula is built only within the budget.
+    One rule bounds what a layer builds.  A candidate at depth ``k`` is built
+    only when its free pool variables number at most ``max_depth - k``, the
+    quantifiers left to close it.  A kept item is not vacuous, and a table
+    varies only along its formula's free variables, so a kept item's free
+    pool variables are exactly its open ones.  The rule therefore reads a
+    candidate's free pool variables from its operands' open sets: an
+    operand's own, a binder's body's less the bound variable, and an ``& |
+    ->`` pair's union.  The rule is exact.  A candidate it skips is vacuous or
+    has more open variables than quantifiers left, so it could never be kept;
+    a rejected table is not marked seen, so skipping it changes nothing
+    later.  Every candidate built has at most ``max_depth - k`` open
+    variables, so no budget test is needed.  At the last layer the rule
+    builds only formulas free within ``xs``.
+
+    Order is deterministic: by layer, within a layer quantifiers first, then
+    ``~ & | ->`` by operand index.  One admission step serves every
+    candidate: a table already kept is rejected first, and a formula is built
+    only for a new table.  Atom tables too are computed only when reached.
     """
-    spc, axes, relation_atoms, equality_atoms, pool_axes = _scan_plan(
+    spc, axes, relation_atoms, equality_atoms, pool_axes, mask_of = _scan_plan(
         structure.signature, xs, pool, structure.size()
     )
-    relations = structure.relation_positions()
-    atoms = [(atom, free, spc.relation_table(relations[rel], args)) for atom, free, rel, args in relation_atoms]
-    atoms += equality_atoms
 
     formulas: list[Formula] = []
     frees: list[frozenset[str]] = []
     opens: list[tuple[str, ...]] = []
+    masks: list[int] = []  # the open variables of each kept item as pool bits
     tabs: list[int] = []
     seen: set[int] = set()
     target = frozenset(xs)
@@ -497,28 +508,40 @@ def semantic_items(
         (build, candidates) and made only when reached: candidates yield
         (i, j, table), and build(i, j) gives (formula, free)."""
         if layer == 0:
-            yield lambda i, _: atoms[i][:2], ((i, None, t) for i, (_, _, t) in enumerate(atoms))
+            relations = structure.relation_positions()
+            yield lambda i, _: relation_atoms[i][:2], (
+                (i, None, spc.relation_table(relations[rel], args))
+                for i, (_, _, rel, args) in enumerate(relation_atoms)
+            )
+            yield lambda i, _: equality_atoms[i][:2], ((i, None, t) for i, (_, _, t) in enumerate(equality_atoms))
             return
-        last = layer == max_depth
-        # this layer's operands in index order; at the last layer only those free within xs
-        ops = [i for i in range(count) if frees[i] <= target] if last else range(count)
+        room = max_depth - layer  # the quantifiers left to close a candidate
+        fit = [len(open_vars) <= room for open_vars in mask_of]  # fit[mask] for a pair's union
+        ops = [i for i in range(count) if len(opens[i]) <= room]  # this layer's operands in index order
         first = bisect.bisect_left(ops, start)  # ops[first:] lie in the previous layer
         prev = ops[first:]
-        binders = [(i, var) for i in range(start, count) for var in opens[i]
-                   if not last or frees[i] - {var} <= target]
+        binders = [(i, var) for i in range(start, count) if len(opens[i]) <= room + 1 for var in opens[i]]
         yield quantify(Exists), ((i, var, spc.exists(tabs[i], axes[var])) for i, var in binders)
         yield quantify(Forall), ((i, var, spc.forall(tabs[i], axes[var])) for i, var in binders)
         # tables lie within ``spc.full``, so ``spc.full ^ t`` is the negation of t
         negs = [spc.full ^ t for t in tabs[:count]]
         yield lambda i, _: (Not(formulas[i]), frees[i]), ((i, None, negs[i]) for i in prev)
         # ops[k] is j, so ops[:k + 1] are the operands up to j
-        yield connect(And), ((i, j, tabs[i] & tabs[j]) for k, j in enumerate(prev, first) for i in ops[: k + 1])
-        yield connect(Or), ((i, j, tabs[i] | tabs[j]) for k, j in enumerate(prev, first) for i in ops[: k + 1])
-        yield connect(Implies), ((i, j, negs[i] | tabs[j]) for j in prev for i in ops)
+        yield connect(And), (
+            (i, j, tabs[i] & tabs[j])
+            for k, j in enumerate(prev, first) for i in ops[: k + 1] if fit[masks[i] | masks[j]]
+        )
+        yield connect(Or), (
+            (i, j, tabs[i] | tabs[j])
+            for k, j in enumerate(prev, first) for i in ops[: k + 1] if fit[masks[i] | masks[j]]
+        )
+        yield connect(Implies), ((i, j, negs[i] | tabs[j]) for j in prev for i in ops if fit[masks[i] | masks[j]])
         # the second -> family pairs a previous-layer left operand with a shallower
         # right one.  It kept no table in any scan measured, but no proof shows it
         # redundant: the docstring's argument needs every ordered -> pair
-        yield connect(Implies), ((i, j, negs[i] | tabs[j]) for i in prev for j in ops[:first])
+        yield connect(Implies), (
+            (i, j, negs[i] | tabs[j]) for i in prev for j in ops[:first] if fit[masks[i] | masks[j]]
+        )
 
     count = 0
     for layer in range(max_depth + 1):
@@ -528,10 +551,6 @@ def semantic_items(
                 if table in seen:
                     continue
                 open_vars = tuple([v for v, stride, inner in pool_axes if (table ^ (table >> stride)) & inner])
-                # a rejected table is not marked seen: it would be rejected again, but holding
-                # every rejected table took the depth-4 scan of the 2x3 biclique from 26 MB to 2.9 GB
-                if layer + len(open_vars) > max_depth:
-                    continue
                 formula, free = build(i, j)
                 if len(free - target) > len(open_vars):
                     continue
@@ -539,5 +558,6 @@ def semantic_items(
                 formulas.append(formula)
                 frees.append(free)
                 opens.append(open_vars)
+                masks.append(mask_of[open_vars])
                 tabs.append(table)
                 yield SemanticItem(formula, table, layer, free, open_vars)

@@ -108,7 +108,7 @@ def test_criterion_1_schema_orbit_agreement(corpus):
     them is checked independently by an unpruned table closure in
     test_uniformity.py (``test_biclique_horizon_at_size_five``).
 
-    The depth-4 scan of the biclique alone takes about 40 s on a 2-core
+    The depth-4 scan of the biclique alone takes about 0.1 s on a 2-core
     machine.
     """
     biclique = biclique_2_3()

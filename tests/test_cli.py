@@ -13,7 +13,9 @@ from hypothesis import example, given, strategies as st
 import uniline
 from uniline import cli, fieldgen
 from uniline.cli import main, render_output, run
+from uniline.corpus import biclique_2_3
 from uniline.ordline import AffineMap
+from uniline.structures import render_structure
 
 CHAIN3_TEXT = """\
 signature
@@ -140,6 +142,20 @@ class TestExitCodes:
         assert render_output(result, machine=False) == (
             "schema: counterexample exists y1. lt(x1,y1) holds at (a), fails at (c)\n"
             "orbits: subsets (a) and (b) lie in different orbits\n"
+        )
+
+    def test_depth_four_scan_of_the_biclique(self, tmp_path):
+        # the deepest scan allowed, on the one corpus structure that needs it
+        path = tmp_path / "biclique.txt"
+        path.write_text(render_structure(biclique_2_3()), encoding="utf-8")
+        result = run(["uniformity", "--structure", str(path), "--n", "1", "--method", "both", "--depth", "4"])
+        assert result.exit_code == 1
+        assert render_output(result, machine=True) == (
+            '{"command": "uniformity", "n": 1, "results": [{"counterexample": '
+            '{"formula": "exists y2. forall y1. y1 = y2 | (e(x1,y1) | x1 = y1)", '
+            '"violating": ["b0"], "witness": ["a0"]}, "depth": 4, "mode": "schema", "uniform": false}, '
+            '{"counterexample": {"first": ["a0"], "second": ["b0"]}, "mode": "orbits", "uniform": false}], '
+            '"schema_version": 1, "uniform": false}\n'
         )
 
     def test_uniform_text_output(self, tmp_path):

@@ -27,7 +27,7 @@ from uniline.formulas import (
     render_formula,
     semantic_items,
 )
-from uniline.corpus import digraphs_up_to_iso
+from uniline.corpus import biclique_2_3, digraphs_up_to_iso
 from uniline.structures import FiniteStructure, Signature
 from uniline.tables import space
 
@@ -335,9 +335,9 @@ def mixed_structures(draw, max_size):
 def assert_admission_invariant(structure, max_depth):
     """Each kept item's open variables are exactly the pool variables its
     table is not constant along, and exactly its free pool variables (no kept
-    item is vacuous), within the depth budget.  So admission reads the table
-    alone; since layers only rise along the stream, a table rejected by the
-    budget could never be kept later."""
+    item is vacuous), and they number at most the layers left.  So admission
+    reads the table alone, and the scan may skip, before computing its table,
+    any candidate with more free pool variables than layers left."""
     xs = ("x1",)
     pool = tuple(f"y{i}" for i in range(1, max_depth + 1))
     spc = space(structure.size(), 1 + max_depth)
@@ -365,6 +365,36 @@ def test_admission_reads_the_table_alone_at_depth_three(structure):
     assert_admission_invariant(structure, 3)
 
 
+@settings(max_examples=20, deadline=None)
+@given(mixed_structures(max_size=2))
+def test_admission_reads_the_table_alone_at_depth_four(structure):
+    assert_admission_invariant(structure, 4)
+
+
+def _three_arities():
+    return FiniteStructure.build(
+        Signature.of(p=1, e=2, r=3),
+        ["a", "b"],
+        {"p": [("b",)], "e": [("a", "b")], "r": [("a", "a", "b"), ("b", "a", "b")]},
+    )
+
+
+def _stream_digest(cases) -> str:
+    """SHA-256 over every kept item's formula, table, depth, free set and
+    open set, one line each, in stream order."""
+    digest = hashlib.sha256()
+    for structure, n, max_depth in cases:
+        xs = tuple(f"x{i}" for i in range(1, n + 1))
+        pool = tuple(f"y{i}" for i in range(1, max_depth + 1))
+        for item in semantic_items(structure, xs, pool, max_depth):
+            line = (
+                f"{render_formula(item.formula)}|{item.table}|{item.depth}|"
+                f"{','.join(sorted(item.free))}|{','.join(item.open_vars)}\n"
+            )
+            digest.update(line.encode())
+    return digest.hexdigest()
+
+
 def _stream_cases():
     """Every digraph of size at most 3 at depth 2, a subset at depth 3 and
     with two free variables, and two structures that mix arities."""
@@ -386,25 +416,25 @@ def _stream_cases():
         {"p": [("a",)], "r": [("a", "b", "c"), ("b", "c", "a"), ("c", "c", "a")]},
     )
     yield unary_ternary, 1, 2
-    three_arities = FiniteStructure.build(
-        Signature.of(p=1, e=2, r=3),
-        ["a", "b"],
-        {"p": [("b",)], "e": [("a", "b")], "r": [("a", "a", "b"), ("b", "a", "b")]},
-    )
+    three_arities = _three_arities()
     for n, max_depth in ((1, 2), (2, 2), (1, 3)):
         yield three_arities, n, max_depth
 
 
 def test_semantic_stream_digest():
     # pins the canonical order and every kept table, free set and open set
-    digest = hashlib.sha256()
-    for structure, n, max_depth in _stream_cases():
-        xs = tuple(f"x{i}" for i in range(1, n + 1))
-        pool = tuple(f"y{i}" for i in range(1, max_depth + 1))
-        for item in semantic_items(structure, xs, pool, max_depth):
-            line = (
-                f"{render_formula(item.formula)}|{item.table}|{item.depth}|"
-                f"{','.join(sorted(item.free))}|{','.join(item.open_vars)}\n"
-            )
-            digest.update(line.encode())
-    assert digest.hexdigest() == "23413d72e39c48b4b52683dbe7a60ec3593d9ec7e19c2c18e53b7bf08029bb82"
+    assert _stream_digest(_stream_cases()) == "23413d72e39c48b4b52683dbe7a60ec3593d9ec7e19c2c18e53b7bf08029bb82"
+
+
+@pytest.mark.parametrize(
+    "structure, expected",
+    [
+        (biclique_2_3(), "4db88a8374b5d11446e9102b835566016bebce382de9352776f65a49bd6abe52"),
+        (_three_arities(), "415e2904634e30a5e3e1b4cec62ec84d6f9be66a8da4aab1f46e7006648c8f54"),
+    ],
+    ids=["biclique_2_3", "three_arities"],
+)
+def test_semantic_stream_digest_at_depth_four(structure, expected):
+    # the whole n = 1 stream at the deepest scan allowed, where the most
+    # candidates are skipped for having more free pool variables than layers left
+    assert _stream_digest([(structure, 1, 4)]) == expected

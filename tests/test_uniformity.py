@@ -348,10 +348,20 @@ class TestAgreement:
     def test_depth_three_horizon(self):
         # two directed cycles of different lengths: different orbits, yet no
         # depth-3 formula tells a triangle vertex from a square vertex; the
-        # depth-4 closed-walk formula does
+        # depth-4 closed-walk formula does, and so does the depth-4 scan
         structure = beyond_depth_three()
         assert not check_uniformity_orbits(structure, 1).uniform
         assert check_uniformity_schema(structure, 1, 3).uniform
+        verdict = check_uniformity_schema(structure, 1, 4)
+        assert not verdict.uniform
+        ce = verdict.counterexample
+        assert depth(ce.formula) == 4
+        assert evaluate(structure, ce.formula, {"x1": ce.witness[0]})
+        assert not evaluate(structure, ce.formula, {"x1": ce.violating[0]})
+        partition = orbit_partition(structure, 1)
+        assert partition.class_of((structure.position(ce.witness[0]),)) != partition.class_of(
+            (structure.position(ce.violating[0]),)
+        )
         separator = Exists(
             "y1",
             And(
