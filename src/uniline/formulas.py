@@ -361,8 +361,8 @@ def _layer(formulas: list[Formula], start: int, pool: tuple[str, ...]) -> Iterat
     """The formulas one layer deeper than ``formulas[start:]``, over the
     formulas present at the first step (the caller appends while this runs),
     in the canonical order: quantifiers, negation, then the binary
-    connectives by operand index.  ``semantic_items`` mirrors this order with
-    one admission loop over the same families (it also prunes by table)."""
+    connectives by operand index.  ``semantic_items`` keeps this order but
+    prunes by table and needs no last family, as its docstring proves."""
     count = len(formulas)
     prev = range(start, count)
     binders = []
@@ -407,25 +407,23 @@ class SemanticItem:
     """A representative formula with its truth table over one structure.
 
     ``table`` covers assignments of ``xs + pool`` into the universe, encoded
-    per :mod:`uniline.tables`.  ``open_vars`` lists the pool variables the
-    table actually varies along: exactly its formula's free pool variables.
+    per :mod:`uniline.tables`.  ``open_vars``, the pool variables the table
+    varies along, are its formula's free ones (``semantic_items``, (V)).
     """
 
     formula: Formula
     table: int
     depth: int
-    free: frozenset[str]
     open_vars: tuple[str, ...]
 
 
 @lru_cache(maxsize=None)
 def _scan_plan(signature: Signature, xs: tuple[str, ...], pool: tuple[str, ...], size: int):
     """The part of a scan's set-up that does not read the structure: the
-    space, the axis of each variable, each relation atom with its free
-    variables, relation index and axes, each equality atom with its free
-    variables and table, ``(var, stride, inner)`` for each pool axis, and the
-    bit mask of each open set.
-    The equality tables number at most ``len(xs + pool)`` squared, no more
+    space, the axis of each variable, each relation atom with its relation
+    index and axes, each equality atom with its table, ``(var, stride,
+    inner)`` for each pool axis, and the bit mask of each open set.  The
+    equality tables number at most ``len(xs + pool)`` squared, no more
     than the space's own axis masks, since ``n <= size``."""
     variables = xs + pool
     axes = {v: i for i, v in enumerate(variables)}
@@ -435,9 +433,9 @@ def _scan_plan(signature: Signature, xs: tuple[str, ...], pool: tuple[str, ...],
     equality_atoms = []
     for atom in _atoms(signature, variables):
         if isinstance(atom, Atom):
-            relation_atoms.append((atom, free_vars(atom), index[atom.relation], tuple(axes[v] for v in atom.args)))
+            relation_atoms.append((atom, index[atom.relation], tuple(axes[v] for v in atom.args)))
         else:
-            equality_atoms.append((atom, free_vars(atom), spc.equality_table(axes[atom.left], axes[atom.right])))
+            equality_atoms.append((atom, spc.equality_table(axes[atom.left], axes[atom.right])))
     pool_axes = tuple((v, spc.strides[axes[v]], spc.inner[axes[v]]) for v in pool)
     # every open set, a tuple of pool variables in pool order, in order of its bit mask
     masks = {tuple(v for k, v in enumerate(pool) if mask >> k & 1): mask for mask in range(1 << len(pool))}
@@ -453,67 +451,76 @@ def semantic_items(
     """Stream of first-per-truth-table formulas within the depth bound.
 
     Candidates at each layer combine previously kept representatives and
-    quantify over the pool variables a table varies along, its open ones.  A
-    table varies only along variables free in its formula, so admission reads
-    the table alone.  A vacuous candidate, one with a free pool variable that
-    is not open, is dropped and does not mark its table seen.
+    quantify over the pool variables a table varies along, its open ones.
+    A candidate is kept exactly when its table has not been seen; only then
+    is its formula built, and atom tables are computed only when reached.
+    Order: by layer, within a layer ``exists forall ~ & | ->``, each by
+    operand index.  Binders, ``~`` and the right operand of a pair take items
+    of the previous layer; the left operand of ``& |`` is an item up to the
+    right one, that of ``->`` any item.  The room rule builds a candidate at
+    depth ``k`` only when its free pool variables, read from its operands'
+    open sets (V), number at most ``max_depth - k``, the quantifiers left.
+    The stream is exact; (C) to (V) hold by induction on the stream position.
 
-    Dropping vacuous candidates loses no table.  ``x1`` is never bound, so
-    putting it in place of a vacuous pool variable keeps the table and the
-    depth and removes one free pool variable.  By induction on (depth,
-    number of free pool variables), every table of a formula over ``xs +
-    pool`` whose depth plus open variables fit the bound is then kept by a
-    non-vacuous formula.  This needs both ``->`` families, which build every
-    ordered pair of kept operands, and a non-empty ``xs``.
+    (C) A formula φ with at most ``max_depth - depth(φ)`` free pool variables
+    (as has each subformula of a depth-bounded formula free within ``xs``)
+    has its table kept by layer ``depth(φ)``: its operands qualify too and
+    have theirs kept by items open only in their free variables, and the
+    candidate on these is built in time in the family of φ's top, is (R), or
+    binds a variable no longer open and has its body's table.
 
-    One rule bounds what a layer builds.  A candidate at depth ``k`` is built
-    only when its free pool variables number at most ``max_depth - k``, the
-    quantifiers left to close it.  A kept item is not vacuous, and a table
-    varies only along its formula's free variables, so a kept item's free
-    pool variables are exactly its open ones.  The rule therefore reads a
-    candidate's free pool variables from its operands' open sets: an
-    operand's own, a binder's body's less the bound variable, and an ``& |
-    ->`` pair's union.  The rule is exact.  A candidate it skips is vacuous or
-    has more open variables than quantifiers left, so it could never be kept;
-    a rejected table is not marked seen, so skipping it changes nothing
-    later.  Every candidate built has at most ``max_depth - k`` open
-    variables, so no budget test is needed.  At the last layer the rule
-    builds only formulas free within ``xs``.
+    (P) For a permutation π of the pool, the tables kept by each layer are
+    closed under π: the atoms are, and the rules count open variables but
+    never read their names.  So πψ's table is kept no deeper than ψ.
 
-    Order is deterministic: by layer, within a layer quantifiers first, then
-    ``~ & | ->`` by operand index.  One admission step serves every
-    candidate: a table already kept is rejected first, and a formula is built
-    only for a new table.  Atom tables too are computed only when reached.
+    (R) Let ``A`` be kept at layer ``L - 1``, ``B`` at a shallower one, with
+    at most ``max_depth - L`` open variables together.  ``A -> B`` is
+    equivalent to the formula below, of depth ``L`` at most and not topped
+    by ``->``, so (C) keeps its table before the ``->`` family of layer ``L``:
+
+        ~a -> B              a | B
+        a & b -> B           ~a | (b -> B)
+        a | b -> B           (a -> B) & (b -> B)
+        (a -> b) -> B        (a | B) & (b -> B)
+        (exists w. a) -> B   forall w. (a -> B), and dually for forall
+
+    Each has at most ``max_depth - L`` free pool variables, as ``A`` and
+    ``B`` are free in exactly their open ones (V).  If ``w`` is free in ``B``,
+    bind instead ``u``, one of the ``L >= 2`` or more pool variables free in
+    neither ``A`` nor ``B``; ``a[u/w]`` has its table kept no deeper (P).
+
+    (S) For a candidate φ free in a pool variable ``v``, the table of
+    ``φ[x1/v]`` is kept before φ is reached.  ``xs`` is never empty and never
+    bound, so each operand turns into its substitute, kept no later and open
+    in no more variables.  The candidate on these comes at an earlier layer
+    or earlier in its family (atoms order ``x1`` first, ``& |`` commute),
+    binds a variable no longer open and has its body's table, or is a ``->``
+    whose right operand falls below its left (R).
+
+    (V) A candidate φ free in a pool variable ``v`` that is not open has the
+    table of ``φ[x1/v]``, kept before it (S).  So no kept item is vacuous,
+    and neither a vacuity test nor a ``->`` family with the deeper operand
+    on the left (R) would ever change the scan's state.
     """
     spc, axes, relation_atoms, equality_atoms, pool_axes, mask_of = _scan_plan(
         structure.signature, xs, pool, structure.size()
     )
 
     formulas: list[Formula] = []
-    frees: list[frozenset[str]] = []
     opens: list[tuple[str, ...]] = []
     masks: list[int] = []  # the open variables of each kept item as pool bits
     tabs: list[int] = []
     seen: set[int] = set()
-    target = frozenset(xs)
-
-    def quantify(ctor):
-        return lambda i, var: (ctor(var, formulas[i]), frees[i] - {var})
-
-    def connect(ctor):
-        return lambda i, j: (ctor(formulas[i], formulas[j]), frees[i] | frees[j])
 
     def families(layer: int, start: int, count: int):
-        """The candidate families of one layer in canonical order, each one
-        (build, candidates) and made only when reached: candidates yield
-        (i, j, table), and build(i, j) gives (formula, free)."""
+        """One layer's candidate families in canonical order, each (build,
+        candidates), made when reached: candidates yield (i, j, table)."""
         if layer == 0:
             relations = structure.relation_positions()
-            yield lambda i, _: relation_atoms[i][:2], (
-                (i, None, spc.relation_table(relations[rel], args))
-                for i, (_, _, rel, args) in enumerate(relation_atoms)
+            yield lambda i, _: relation_atoms[i][0], (
+                (i, None, spc.relation_table(relations[rel], args)) for i, (_, rel, args) in enumerate(relation_atoms)
             )
-            yield lambda i, _: equality_atoms[i][:2], ((i, None, t) for i, (_, _, t) in enumerate(equality_atoms))
+            yield lambda i, _: equality_atoms[i][0], ((i, None, t) for i, (_, t) in enumerate(equality_atoms))
             return
         room = max_depth - layer  # the quantifiers left to close a candidate
         fit = [len(open_vars) <= room for open_vars in mask_of]  # fit[mask] for a pair's union
@@ -521,26 +528,22 @@ def semantic_items(
         first = bisect.bisect_left(ops, start)  # ops[first:] lie in the previous layer
         prev = ops[first:]
         binders = [(i, var) for i in range(start, count) if len(opens[i]) <= room + 1 for var in opens[i]]
-        yield quantify(Exists), ((i, var, spc.exists(tabs[i], axes[var])) for i, var in binders)
-        yield quantify(Forall), ((i, var, spc.forall(tabs[i], axes[var])) for i, var in binders)
+        yield lambda i, var: Exists(var, formulas[i]), ((i, var, spc.exists(tabs[i], axes[var])) for i, var in binders)
+        yield lambda i, var: Forall(var, formulas[i]), ((i, var, spc.forall(tabs[i], axes[var])) for i, var in binders)
         # tables lie within ``spc.full``, so ``spc.full ^ t`` is the negation of t
         negs = [spc.full ^ t for t in tabs[:count]]
-        yield lambda i, _: (Not(formulas[i]), frees[i]), ((i, None, negs[i]) for i in prev)
+        yield lambda i, _: Not(formulas[i]), ((i, None, negs[i]) for i in prev)
         # ops[k] is j, so ops[:k + 1] are the operands up to j
-        yield connect(And), (
+        yield lambda i, j: And(formulas[i], formulas[j]), (
             (i, j, tabs[i] & tabs[j])
             for k, j in enumerate(prev, first) for i in ops[: k + 1] if fit[masks[i] | masks[j]]
         )
-        yield connect(Or), (
+        yield lambda i, j: Or(formulas[i], formulas[j]), (
             (i, j, tabs[i] | tabs[j])
             for k, j in enumerate(prev, first) for i in ops[: k + 1] if fit[masks[i] | masks[j]]
         )
-        yield connect(Implies), ((i, j, negs[i] | tabs[j]) for j in prev for i in ops if fit[masks[i] | masks[j]])
-        # the second -> family pairs a previous-layer left operand with a shallower
-        # right one.  It kept no table in any scan measured, but no proof shows it
-        # redundant: the docstring's argument needs every ordered -> pair
-        yield connect(Implies), (
-            (i, j, negs[i] | tabs[j]) for i in prev for j in ops[:first] if fit[masks[i] | masks[j]]
+        yield lambda i, j: Implies(formulas[i], formulas[j]), (
+            (i, j, negs[i] | tabs[j]) for j in prev for i in ops if fit[masks[i] | masks[j]]
         )
 
     count = 0
@@ -551,13 +554,9 @@ def semantic_items(
                 if table in seen:
                     continue
                 open_vars = tuple([v for v, stride, inner in pool_axes if (table ^ (table >> stride)) & inner])
-                formula, free = build(i, j)
-                if len(free - target) > len(open_vars):
-                    continue
                 seen.add(table)
-                formulas.append(formula)
-                frees.append(free)
+                formulas.append(build(i, j))
                 opens.append(open_vars)
                 masks.append(mask_of[open_vars])
                 tabs.append(table)
-                yield SemanticItem(formula, table, layer, free, open_vars)
+                yield SemanticItem(formulas[-1], table, layer, open_vars)

@@ -26,8 +26,8 @@ from .formulas import Formula, semantic_items
 from .structures import FiniteStructure
 
 # The deepest scan allowed.  Depth 4 is the measured horizon: criterion 1
-# scans the 2x3 biclique at depth 4 in about 0.1 s, while a depth-5 scan of
-# the 3-cycle at n=1 takes about 19 s, on a 2-core machine.
+# scans the 2x3 biclique at depth 4 in about 0.1 s, while the depth-5 stream
+# of the 3-cycle at n=1 keeps 746,342 items in 17-19 s on a 2-core machine.
 MAX_DEPTH = 4
 
 

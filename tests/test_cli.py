@@ -47,6 +47,15 @@ def machine(argv: list[str]) -> tuple[int, list[dict]]:
     return result.exit_code, [json.loads(line) for line in text.splitlines()]
 
 
+def assert_error_exit(result, command: str, error: str) -> None:
+    """Exit 2 with the error as one machine record and as one text line."""
+    assert result.exit_code == 2
+    assert render_output(result, machine=True) == (
+        f'{{"command": "{command}", "error": "{error}", "schema_version": 1}}\n'
+    )
+    assert render_output(result, machine=False) == f"error: {error}\n"
+
+
 class TestExitCodes:
     def test_uniform_structure_exits_zero(self, tmp_path):
         path = tmp_path / "empty3.txt"
@@ -119,22 +128,28 @@ class TestExitCodes:
     )
     def test_orbit_decider_errors_exit_two(self, antichain11_file, n, error):
         result = run(["uniformity", "--structure", antichain11_file, "--n", n, "--method", "orbits"])
-        assert result.exit_code == 2
-        assert render_output(result, machine=True) == (
-            f'{{"command": "uniformity", "error": "{error}", "schema_version": 1}}\n'
-        )
-        assert render_output(result, machine=False) == f"error: {error}\n"
+        assert_error_exit(result, "uniformity", error)
 
     @pytest.mark.parametrize("n", ["0", "12"])
     def test_schema_decider_n_out_of_range_exits_two(self, antichain11_file, n):
         # the same message as the orbit decider's, checked before the depth and the space
         result = run(["uniformity", "--structure", antichain11_file, "--n", n, "--method", "schema"])
-        assert result.exit_code == 2
-        error = f"n must be between 1 and 11, got {n}"
-        assert render_output(result, machine=True) == (
-            f'{{"command": "uniformity", "error": "{error}", "schema_version": 1}}\n'
-        )
-        assert render_output(result, machine=False) == f"error: {error}\n"
+        assert_error_exit(result, "uniformity", f"n must be between 1 and 11, got {n}")
+
+    @pytest.mark.parametrize("mode", ["subsets", "tuples"])
+    @pytest.mark.parametrize(
+        "n, error",
+        [("0", "n must be between 1 and 11, got 0"), ("12", "n must be between 1 and 11, got 12"),
+         ("1", "universe size 11 exceeds cap 10"), ("11", "universe size 11 exceeds cap 10")],
+    )
+    def test_structure_orbits_errors_exit_two(self, antichain11_file, mode, n, error):
+        # n is checked before the cap
+        result = run(["structure", "orbits", "--structure", antichain11_file, "--n", n, "--mode", mode])
+        assert_error_exit(result, "structure", error)
+
+    def test_structure_aut_above_cap_exits_two(self, antichain11_file):
+        result = run(["structure", "aut", "--structure", antichain11_file])
+        assert_error_exit(result, "structure", "universe size 11 exceeds cap 10")
 
     def test_non_uniform_text_output(self, chain3_file):
         result = run(["uniformity", "--structure", chain3_file, "--n", "1", "--method", "both", "--depth", "2"])

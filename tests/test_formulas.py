@@ -279,7 +279,7 @@ def closed_representatives(structure, max_depth):
     """The kept formulas of the semantic stream whose free variable is x1 alone."""
     pool = tuple(f"y{i}" for i in range(1, max_depth + 1))
     for item in semantic_items(structure, ("x1",), pool, max_depth):
-        if item.free == {"x1"}:
+        if free_vars(item.formula) == {"x1"}:
             yield item.formula
 
 
@@ -312,7 +312,7 @@ class TestSemanticDedup:
 
     def test_items_report_tables_consistently(self, chain2):
         for item in semantic_items(chain2, ("x1",), ("y1", "y2"), 2):
-            if item.open_vars or (item.free - {"x1"}):
+            if item.open_vars or (free_vars(item.formula) - {"x1"}):
                 continue
             for i, element in enumerate(chain2.universe):
                 direct = evaluate(chain2, item.formula, {"x1": element})
@@ -346,7 +346,7 @@ def assert_admission_invariant(structure, max_depth):
     for item in semantic_items(structure, xs, pool, max_depth):
         varying = tuple(v for axis, v in enumerate(pool, 1) if not spc.constant_along(item.table, axis))
         assert item.open_vars == varying
-        assert item.free - set(xs) == set(item.open_vars)
+        assert free_vars(item.formula) - set(xs) == set(item.open_vars)
         assert item.depth + len(item.open_vars) <= max_depth
         assert item.depth >= last_depth and item.table not in tables
         last_depth = item.depth
@@ -380,8 +380,8 @@ def _three_arities():
 
 
 def _stream_digest(cases) -> str:
-    """SHA-256 over every kept item's formula, table, depth, free set and
-    open set, one line each, in stream order."""
+    """SHA-256 over every kept item's formula, table, depth, free variables
+    (read from the formula) and open set, one line each, in stream order."""
     digest = hashlib.sha256()
     for structure, n, max_depth in cases:
         xs = tuple(f"x{i}" for i in range(1, n + 1))
@@ -389,7 +389,7 @@ def _stream_digest(cases) -> str:
         for item in semantic_items(structure, xs, pool, max_depth):
             line = (
                 f"{render_formula(item.formula)}|{item.table}|{item.depth}|"
-                f"{','.join(sorted(item.free))}|{','.join(item.open_vars)}\n"
+                f"{','.join(sorted(free_vars(item.formula)))}|{','.join(item.open_vars)}\n"
             )
             digest.update(line.encode())
     return digest.hexdigest()
@@ -424,6 +424,27 @@ def _stream_cases():
 def test_semantic_stream_digest():
     # pins the canonical order and every kept table, free set and open set
     assert _stream_digest(_stream_cases()) == "23413d72e39c48b4b52683dbe7a60ec3593d9ec7e19c2c18e53b7bf08029bb82"
+
+
+def _two_element_unary_binary():
+    """Every structure over ``p/1, e/2`` on two elements, loops allowed: 64."""
+    signature = Signature.of(p=1, e=2)
+    universe = ["a", "b"]
+    pairs = list(itertools.product(universe, repeat=2))
+    for p_bits in range(1 << len(universe)):
+        for e_bits in range(1 << len(pairs)):
+            relations = {
+                "p": [(u,) for k, u in enumerate(universe) if p_bits >> k & 1],
+                "e": [pair for k, pair in enumerate(pairs) if e_bits >> k & 1],
+            }
+            yield FiniteStructure.build(signature, universe, relations)
+
+
+def test_semantic_stream_digest_of_every_two_element_structure_at_depth_three():
+    # depth 3 is the first at which a layer-2 candidate has room for a free pool
+    # variable, so a deeper left operand of -> and a vacuous candidate can arise
+    cases = [(structure, n, 3) for structure in _two_element_unary_binary() for n in (1, 2)]
+    assert _stream_digest(cases) == "83b291c5c6fa63e1b9b2841af9db354aa94eea8f5c5a12bde013e8301496f815"
 
 
 @pytest.mark.parametrize(
