@@ -9,9 +9,11 @@ of pairwise-distinct elements.
 scanning the enumerated formula space; ``check_uniformity_orbits`` decides
 the semantic criterion (a single automorphism orbit on n-subsets), which is
 the depth-unbounded limit of the schema on finite structures.  It never
-enumerates the group: for each n-subset in turn it searches for one
-automorphism that maps the least n-subset onto it.  Agreement of the two
-deciders is the package's central cross-check.
+enumerates the group: it takes the n-subsets in turn, rules a subset out
+when its elements' invariant keys differ from those of the least n-subset,
+and otherwise searches for one automorphism that maps the least n-subset
+onto it.  Agreement of the two deciders is the package's central
+cross-check.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from . import autgroup, tables
 from .formulas import Formula, semantic_items
@@ -87,9 +90,9 @@ def _arrangements(spc: tables.AssignmentSpace, positions: tuple[int, ...], depth
 
 @lru_cache(maxsize=None)
 def _subset_plan(size: int, n: int, depth: int):
-    """The space of a schema scan, its n-subsets in order, the cells of each
-    subset's arrangements, and the carrier: one bit at each of those cells.
-    The cells number at most the space's cells, like its cached masks."""
+    """The n-subsets of a schema scan in order, the cells of each subset's
+    arrangements, and the carrier: one bit at each of those cells.  The cells
+    number at most the space's cells, like its cached masks."""
     spc = tables.space(size, n + depth)
     subsets = tuple(itertools.combinations(range(size), n))
     arrangements = tuple(_arrangements(spc, subset, depth) for subset in subsets)
@@ -97,7 +100,7 @@ def _subset_plan(size: int, n: int, depth: int):
     for cells in arrangements:
         for c in cells:
             bits[c >> 3] |= 1 << (c & 7)
-    return spc, subsets, arrangements, int.from_bytes(bits, "little")
+    return subsets, arrangements, int.from_bytes(bits, "little")
 
 
 def _meets(table: int, cells: list[int]) -> bool:
@@ -129,17 +132,19 @@ def check_uniformity_schema(structure: FiniteStructure, n: int, depth: int) -> U
     size = structure.size()
     autgroup._check_n(n, size)
     _check_depth(depth)
-    spc, subsets, arrangements, carrier = _subset_plan(size, n, depth)
+    subsets, arrangements, carrier = _subset_plan(size, n, depth)
 
     for report, table in _closed_instances(structure, n, depth):
         hit = table & carrier
         if hit == 0 or hit == carrier:
             continue  # no subset is met, or every subset is
-        met = [_meets(table, cells) for cells in arrangements]
-        if not all(met):  # hit != 0, so some subset is met
-            pad = (0,) * depth
-            witness = next(t for t in itertools.permutations(range(size), n) if spc.test(table, t + pad))
-            violating = subsets[met.index(False)]
+        unmet = (subset for subset, cells in zip(subsets, arrangements) if not _meets(table, cells))
+        violating = next(unmet, None)
+        if violating is not None:  # hit != 0, so some subset is met
+            # hit holds the cells of the distinct tuples that satisfy the
+            # formula, with every pool variable at element 0
+            strides = [size**i for i in range(n)]
+            witness = next(t for t in itertools.permutations(range(size), n) if hit >> sum(map(mul, t, strides)) & 1)
             counterexample = SchemaCounterexample(
                 report,
                 autgroup.elements_of(structure, witness),

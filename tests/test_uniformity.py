@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from uniline import autgroup
 from uniline.autgroup import ResourceCapError, brute_force_automorphisms, elements_of, orbit_partition
 from uniline.corpus import (
     antichain,
@@ -275,6 +276,56 @@ class TestOrbits:
             group = brute_force_automorphisms(structure)
             for n in range(1, structure.size() + 1):
                 assert check_uniformity_orbits(structure, n) == partition_verdict(structure, n, group)
+
+    def test_key_pretest_skips_the_search(self, monkeypatch, chain3, cycle3):
+        # an automorphism keeps each element's sorted (relation, coordinate)
+        # list, so a subset whose lists differ from those of the least subset
+        # is returned with no search, and the plan waits for the first search
+        calls = {"_search_plan": 0, "_search": 0}
+
+        def counting(name):
+            original = getattr(autgroup, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(autgroup, name, counting(name))
+
+        def plans_and_searches(structure, n):
+            calls.update(dict.fromkeys(calls, 0))
+            check_uniformity_orbits(structure, n)
+            return calls["_search_plan"], calls["_search"]
+
+        def key_multiset(structure, subset):
+            fills = {element: [] for element in structure.universe}
+            for name, tuples in structure.interpretation:
+                for t in tuples:
+                    for k, element in enumerate(t):
+                        fills[element].append((name, k))
+            return sorted(sorted(fills[element]) for element in elements_of(structure, subset))
+
+        assert plans_and_searches(chain3, 1) == (0, 0)
+        assert plans_and_searches(cycle3, 1) == (1, 2)
+        unsearched = 0
+        for structure in digraphs_up_to_iso(4):
+            for n in (1, 2):
+                subsets = list(itertools.combinations(range(4), n))
+                classes = orbit_partition(structure, n, mode="subsets").classes
+                if len(classes) == 1:
+                    searches = len(subsets) - 1
+                else:
+                    outside = classes[1][0]
+                    # one search per subset in the orbit before it, and one
+                    # for it only when its keys match those of the least subset
+                    searches = subsets.index(outside) - 1
+                    searches += key_multiset(structure, outside) == key_multiset(structure, subsets[0])
+                assert plans_and_searches(structure, n) == (min(searches, 1), searches)
+                unsearched += searches == 0
+        assert unsearched > 0
 
     def test_high_symmetry_memory(self):
         # the whole group of antichain9 is 9! = 362,880 permutations, about
