@@ -331,92 +331,69 @@ def _localization(zero: str, one: str) -> fieldgen.Localization:
     return fieldgen.Localization(ordline.parse_rational(zero), ordline.parse_rational(one))
 
 
-class _ExprParser:
+# binding power and law of each binary operator, all associating to the left;
+# power 3, above both, reads an operand alone
+_ARITHMETIC = {"+": (1, fieldgen.loc_add), "-": (1, fieldgen.loc_sub),
+               "*": (2, fieldgen.loc_mul), "/": (2, fieldgen.loc_div)}
+_MAX_EXPR_NESTING = 100
+
+
+def _field_value(text: str, loc: fieldgen.Localization) -> Fraction:
     """Arithmetic over the localized field: + - * / ( ) and rational literals,
-    with parentheses and unary minus nested at most ``MAX_NESTING`` deep."""
+    read by precedence climbing over ``_ARITHMETIC``, with parentheses and
+    unary minus nested at most ``_MAX_EXPR_NESTING`` deep."""
+    tokens = re.findall(r"\d+/\d+|\d+|[+\-*/()]", text)
+    if "".join(tokens).replace(" ", "") != text.replace(" ", ""):
+        raise ValueError(f"invalid expression {text!r}")
+    tokens.reverse()  # so that pop() takes the next token
 
-    MAX_NESTING = 100
-
-    def __init__(self, text: str, loc: fieldgen.Localization):
-        self.tokens = self._tokenize(text)
-        self.index = 0
-        self.nesting = 0
-        self.loc = loc
-
-    @staticmethod
-    def _tokenize(text: str) -> list[str]:
-        tokens = re.findall(r"\d+/\d+|\d+|[+\-*/()]", text)
-        if "".join(tokens).replace(" ", "") != text.replace(" ", ""):
-            raise ValueError(f"invalid expression {text!r}")
-        return tokens
-
-    def peek(self) -> str | None:
-        return self.tokens[self.index] if self.index < len(self.tokens) else None
-
-    def take(self) -> str:
-        token = self.peek()
-        if token is None:
+    def take() -> str:
+        if not tokens:
             raise ValueError("unexpected end of expression")
-        self.index += 1
-        return token
+        return tokens.pop()
 
-    def parse(self) -> Fraction:
-        value = self.expr()
-        if self.peek() is not None:
-            raise ValueError(f"trailing input at {self.peek()!r}")
-        return value
-
-    def expr(self) -> Fraction:
-        value = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            right = self.term()
-            if op == "+":
-                value = fieldgen.loc_add(self.loc, value, right)
+    def climb(least: int, nesting: int) -> Fraction:
+        """An operand and the operators after it that bind with power
+        ``least`` or more."""
+        token = take()
+        if token in ("(", "-"):
+            if nesting == _MAX_EXPR_NESTING:
+                raise ValueError(f"expression nested deeper than {_MAX_EXPR_NESTING}")
+            if token == "-":
+                value = fieldgen.loc_neg(loc, climb(3, nesting + 1))
             else:
-                value = fieldgen.loc_sub(self.loc, value, right)
-        return value
-
-    def term(self) -> Fraction:
-        value = self.factor()
-        while self.peek() in ("*", "/"):
-            op = self.take()
-            right = self.factor()
-            if op == "*":
-                value = fieldgen.loc_mul(self.loc, value, right)
-            else:
-                value = fieldgen.loc_div(self.loc, value, right)
-        return value
-
-    def factor(self) -> Fraction:
-        token = self.take()
-        if token not in ("(", "-"):
-            return Fraction(token)
-        self.nesting += 1
-        if self.nesting > self.MAX_NESTING:
-            raise ValueError(f"expression nested deeper than {self.MAX_NESTING}")
-        if token == "(":
-            value = self.expr()
-            if self.take() != ")":
-                raise ValueError("unbalanced parentheses")
+                value = climb(1, nesting + 1)
+                if take() != ")":
+                    raise ValueError("unbalanced parentheses")
         else:
-            value = fieldgen.loc_neg(self.loc, self.factor())
-        self.nesting -= 1
+            value = Fraction(token)
+        while tokens and tokens[-1] in _ARITHMETIC and _ARITHMETIC[tokens[-1]][0] >= least:
+            power, law = _ARITHMETIC[tokens.pop()]
+            value = law(loc, value, climb(power + 1, nesting))
         return value
+
+    value = climb(1, 0)
+    if tokens:
+        raise ValueError(f"trailing input at {tokens[-1]!r}")
+    return value
 
 
 def _cmd_field(args) -> CommandResult:
-    if args.action == "eval":
+    if args.action == "iso":
+        first, second = _localization(args.zero1, args.one1), _localization(args.zero2, args.one2)
+    else:
         loc = _localization(args.zero, args.one)
-        value = _ExprParser(args.expr, loc).parse()
+    if args.action in ("verify", "iso") and args.samples < 1:
+        raise ValueError("sample_count must be >= 1")
+    if args.action == "eval":
+        value = _field_value(args.expr, loc)
         return _result(args, 0, [_rat(value)], {"value": _rat(value)})
     if args.action == "verify":
-        loc = _localization(args.zero, args.one)
-        report = fieldgen.verify_field_axioms(loc, args.samples, seed=args.seed)
+        report = fieldgen.verify_field_axioms(loc)
         payload = {
             "zero": _rat(loc.zero),
             "one": _rat(loc.one),
-            "samples": report.sample_count,
+            "samples": args.samples,
             "checks": [
                 {
                     "axiom": check.name,
@@ -433,10 +410,6 @@ def _cmd_field(args) -> CommandResult:
         ]
         return _result(args, 0 if report.all_passed() else 1, lines, payload)
     if args.action == "iso":
-        first = _localization(args.zero1, args.one1)
-        second = _localization(args.zero2, args.one2)
-        if args.samples < 1:
-            raise ValueError("sample_count must be >= 1")
         iso = fieldgen.localization_iso(first, second)
         failure = fieldgen.homomorphism_failure(first, second, iso)
         payload = {"iso": str(iso), "samples": args.samples, "homomorphism": failure is None}
@@ -445,7 +418,6 @@ def _cmd_field(args) -> CommandResult:
             payload["witness"] = {"op": op, "x": _rat(x), "y": _rat(y)}
             return _result(args, 1, [f"iso {iso} fails {op} at ({_rat(x)}, {_rat(y)})"], payload)
         return _result(args, 0, [f"iso: {iso} (verified on {args.samples} samples)"], payload)
-    loc = _localization(args.zero, args.one)
     factor = ordline.parse_rational(args.factor)
     interval = ordline.Interval(ordline.parse_rational(args.lo), ordline.parse_rational(args.hi))
     image = fieldgen.stretch_image(loc, factor, interval)

@@ -14,7 +14,7 @@ import re
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Union
+from typing import NamedTuple, Union
 
 from .structures import FiniteStructure, Signature
 from . import tables
@@ -77,9 +77,6 @@ class Forall:
 
 Formula = Union[Atom, Equal, Not, And, Or, Implies, Exists, Forall]
 
-_BINARY = {And: " & ", Or: " | ", Implies: " -> "}
-
-
 def free_vars(formula: Formula) -> frozenset[str]:
     if isinstance(formula, Atom):
         return frozenset(formula.args)
@@ -109,33 +106,41 @@ def depth(formula: Formula) -> int:
 
 # --- rendering ---------------------------------------------------------------
 
-# precedence context: 0 admits anything, 1 rules out bare quantifiers,
-# 2/3/4 additionally rule out bare ->, |, & respectively
-_LEVEL = {Implies: 1, Or: 2, And: 3}
+# The binary connectives: binding power (higher binds tighter), whether the
+# connective associates to the right, and the node it builds; ``<->`` is
+# sugar.  The parser reads this table, and the renderer reads it by node.
+_CONNECTIVES = {
+    "<->": (1, True, lambda left, right: And(Implies(left, right), Implies(right, left))),
+    "->": (2, True, Implies),
+    "|": (3, False, Or),
+    "&": (4, False, And),
+}
+_OPERATOR = {node: (f" {token} ", power, to_right) for token, (power, to_right, node) in _CONNECTIVES.items()}
+_TIGHT = 5  # above every binding power: an operand of ``~``
 
 
 def render_formula(formula: Formula) -> str:
     return _render(formula, 0)
 
 
-def _render(formula: Formula, context: int) -> str:
+def _render(formula: Formula, least: int) -> str:
+    """``formula`` where the parser reads ``binary(least)``, or ``formula()``
+    at ``least`` 0; a connective that binds looser, or a quantifier at any
+    other ``least``, is put in parentheses."""
     if isinstance(formula, Atom):
         return f"{formula.relation}({','.join(formula.args)})"
     if isinstance(formula, Equal):
         return f"{formula.left} = {formula.right}"
     if isinstance(formula, Not):
-        return "~" + _render(formula.body, 4)
+        return "~" + _render(formula.body, _TIGHT)
     if isinstance(formula, (Exists, Forall)):
         keyword = "exists" if isinstance(formula, Exists) else "forall"
         text = f"{keyword} {formula.var}. {_render(formula.body, 0)}"
-        return f"({text})" if context > 0 else text
-    level = _LEVEL[type(formula)]
-    # the grammar makes -> right-associative and & | left-associative
-    if isinstance(formula, Implies):
-        text = _render(formula.left, level + 1) + " -> " + _render(formula.right, level)
-    else:
-        text = _render(formula.left, level) + _BINARY[type(formula)] + _render(formula.right, level + 1)
-    return f"({text})" if context > level else text
+        return f"({text})" if least > 0 else text
+    token, power, to_right = _OPERATOR[type(formula)]
+    # the operand on the associating side may bind as loosely as its parent
+    text = _render(formula.left, power + to_right) + token + _render(formula.right, power + (not to_right))
+    return f"({text})" if least > power else text
 
 
 # --- parsing ------------------------------------------------------------------
@@ -145,10 +150,12 @@ _KEYWORDS = {"forall", "exists"}
 
 
 class _Parser:
-    """Recursive descent over the formula grammar, with quantifiers, ``~``,
-    parentheses and the right operands of ``->`` and ``<->`` nested at most
-    ``MAX_NESTING`` deep.  A parenthesis level takes nine Python frames, so
-    the limit keeps a parse well inside the default recursion limit of 1000.
+    """Precedence climbing over ``_CONNECTIVES`` (Pratt 1973), with
+    quantifiers, ``~``, parentheses and the right operands of ``->`` and
+    ``<->`` nested at most ``MAX_NESTING`` deep.  A parenthesis level takes
+    four Python frames, so the limit keeps a parse well inside the default
+    recursion limit of 1000.  Quantifiers are read only where ``formula`` is
+    entered: at the top, in parentheses and in a quantifier's body.
     ``a <-> b`` is sugar that holds each operand twice, so k nested ``<->``
     render and evaluate in time 2^k; a formula has at most ``MAX_IFF``."""
 
@@ -187,11 +194,11 @@ class _Parser:
         if got != token:
             raise FormulaError(f"expected {token!r}, got {got!r}")
 
-    def nested(self, parse) -> Formula:
+    def nested(self, parse, *args) -> Formula:
         self.nesting += 1
         if self.nesting > self.MAX_NESTING:
             raise FormulaError(f"formula nested deeper than {self.MAX_NESTING}")
-        result = parse()
+        result = parse(*args)
         self.nesting -= 1
         return result
 
@@ -202,46 +209,20 @@ class _Parser:
             self.expect(".")
             body = self.nested(self.formula)
             return Exists(var, body) if keyword == "exists" else Forall(var, body)
-        return self.iff()
+        return self.binary(1)
 
-    def iff(self) -> Formula:
-        left = self.implication()
-        if self.peek() == "<->":
-            self.take()
-            right = self.nested(self.iff)
-            # biconditional is sugar, not a primitive node
-            return And(Implies(left, right), Implies(right, left))
+    def binary(self, least: int) -> Formula:
+        """Operands joined by connectives that bind with power ``least`` or more."""
+        left = self.operand()
+        while self.peek() in _CONNECTIVES and _CONNECTIVES[self.peek()][0] >= least:
+            power, to_right, node = _CONNECTIVES[self.take()]
+            left = node(left, self.nested(self.binary, power) if to_right else self.binary(power + 1))
         return left
 
-    def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.peek() == "->":
-            self.take()
-            return Implies(left, self.nested(self.implication))
-        return left
-
-    def disjunction(self) -> Formula:
-        left = self.conjunction()
-        while self.peek() == "|":
-            self.take()
-            left = Or(left, self.conjunction())
-        return left
-
-    def conjunction(self) -> Formula:
-        left = self.negation()
-        while self.peek() == "&":
-            self.take()
-            left = And(left, self.negation())
-        return left
-
-    def negation(self) -> Formula:
-        if self.peek() == "~":
-            self.take()
-            return Not(self.nested(self.negation))
-        return self.atom()
-
-    def atom(self) -> Formula:
+    def operand(self) -> Formula:
         token = self.take()
+        if token == "~":
+            return Not(self.nested(self.operand))
         if token == "(":
             inner = self.nested(self.formula)
             self.expect(")")
@@ -402,8 +383,7 @@ def _syntactic_items(
             yield formula, layer
 
 
-@dataclass(frozen=True)
-class SemanticItem:
+class SemanticItem(NamedTuple):
     """A representative formula with its truth table over one structure.
 
     ``table`` covers assignments of ``xs + pool`` into the universe, encoded

@@ -242,7 +242,7 @@ def test_criterion_5_field_construction():
     locs = [localization() for _ in range(10)]
     axiom_failures = []
     for loc in locs:
-        axiom_report = verify_field_axioms(loc, 1000, seed=rng.randint(0, 10**6))
+        axiom_report = verify_field_axioms(loc)
         if not axiom_report.all_passed():
             axiom_failures.append((loc, [c.name for c in axiom_report.failed()]))
 
@@ -269,7 +269,7 @@ def test_criterion_5_field_construction():
     report(
         5,
         ok,
-        "10 localizations x 1000 triples all field axioms; 10 iso pairs x 1000 samples "
+        "10 localizations x all field axioms, decided on 41 grid evaluations each; 10 iso pairs x 1000 samples "
         f"exact homomorphism; failures: {axiom_failures[:2] + iso_failures[:2]}",
     )
 

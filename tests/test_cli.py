@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -39,6 +40,11 @@ def antichain11_file(tmp_path):
     path = tmp_path / "antichain11.txt"
     path.write_text("signature\n  e/2\nuniverse\n  " + " ".join("abcdefghijk") + "\n", encoding="utf-8")
     return str(path)
+
+
+RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+# the literals ``field eval`` reads: a natural number or a fraction of two
+LITERALS = st.integers(0, 12).map(str) | st.builds("{}/{}".format, st.integers(0, 9), st.integers(1, 9))
 
 
 def machine(argv: list[str]) -> tuple[int, list[dict]]:
@@ -231,6 +237,61 @@ class TestCommands:
     def test_field_eval_plain(self):
         result = run(["field", "eval", "--zero", "0", "--one", "1", "--expr", "2 * (3 + 4)"])
         assert result.lines == ["14"]
+
+    @pytest.mark.parametrize(
+        "expr, value",
+        [
+            ("8 - 2 - 1", "7"),
+            ("8 / 2 / 2", "29"),
+            ("2 + 3 * 4", "5"),
+            ("-2 * 3", "0"),
+            ("2 - -3", "4"),
+            ("3/4 / 1/2", "2"),
+            ("2 * (3 - 1) / 4", "5/3"),
+        ],
+    )
+    def test_field_eval_precedence_and_association(self, expr, value):
+        assert run(["field", "eval", "--zero", "1", "--one", "3", "--expr", expr]).lines == [value]
+
+    @pytest.mark.parametrize(
+        "expr, error",
+        [
+            ("1 / 1", "division by localized zero"),
+            ("(1 2", "unbalanced parentheses"),
+            ("((2)", "unexpected end of expression"),
+            ("1 + 2)", "trailing input at ')'"),
+            ("1 + x", "invalid expression '1 + x'"),
+        ],
+    )
+    def test_field_eval_errors_exit_two(self, expr, error):
+        assert_error_exit(run(["field", "eval", "--zero", "1", "--one", "3", "--expr", expr]), "field", error)
+
+    @given(
+        zero=RATIONALS,
+        one=RATIONALS,
+        expr=st.recursive(
+            LITERALS,
+            lambda sub: st.builds("({})".format, sub)
+            | st.builds("-{}".format, sub)
+            | st.builds("{} {} {}".format, sub, st.sampled_from("+-*/"), sub),
+            max_leaves=8,
+        ),
+    )
+    def test_field_eval_agrees_with_rational_arithmetic(self, zero, one, expr):
+        """Read every literal x as (x - zero)/(one - zero) in Q, evaluate the
+        text as Python does, and map the value back."""
+        if zero == one:
+            return
+        unit = one - zero
+        python = re.sub(r"\d+/\d+|\d+", lambda m: f"Fraction({str((Fraction(m[0]) - zero) / unit)!r})", expr)
+        result = run(["field", "eval", f"--zero={zero}", f"--one={one}", f"--expr={expr}"])
+        try:
+            expected = zero + eval(python, {"Fraction": Fraction}) * unit
+        except ZeroDivisionError:
+            assert_error_exit(result, "field", "division by localized zero")
+            return
+        assert result.exit_code == 0
+        assert Fraction(result.lines[0]) == expected
 
     def test_field_verify(self):
         code, records = machine(["field", "verify", "--zero=-7/3", "--one", "5/2", "--samples", "100"])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -115,12 +116,12 @@ class TestLocalizedMultiplication:
 
 class TestFieldReport:
     def test_standard_localization_passes(self):
-        report = verify_field_axioms(L01, 300)
+        report = verify_field_axioms(L01)
         assert report.all_passed()
-        assert report.sample_count == 300
+        assert report.sample_count == 41
 
     def test_awkward_localization_passes(self):
-        report = verify_field_axioms(Localization(Fraction(-7, 3), Fraction(5, 2)), 300)
+        report = verify_field_axioms(Localization(Fraction(-7, 3), Fraction(5, 2)))
         assert report.all_passed()
         assert not report.failed()
 
@@ -129,7 +130,7 @@ class TestFieldReport:
             Localization(Fraction(1), Fraction(1))
 
     def test_axiom_names_stable(self):
-        report = verify_field_axioms(L01, 5)
+        report = verify_field_axioms(L01)
         assert [c.name for c in report.checks] == [
             "add_associative",
             "add_commutative",
@@ -142,17 +143,31 @@ class TestFieldReport:
             "distributive",
         ]
 
-    def test_sample_count_validated(self):
-        with pytest.raises(ValueError):
-            verify_field_axioms(L01, 0)
-
 
 class TestExactDecision:
-    def test_seed_and_sample_count_only_echoed(self):
-        first = verify_field_axioms(L13, 10, seed=1)
-        second = verify_field_axioms(L13, 5000, seed=2)
-        assert first.checks == second.checks
-        assert (first.sample_count, second.sample_count) == (10, 5000)
+    # each law's degrees in (x, y, w), as the ``verify_field_axioms`` docstring states them
+    DEGREES = {
+        "add_associative": (1, 1, 1),
+        "add_commutative": (1, 1, 0),
+        "add_identity": (1, 0, 0),
+        "add_inverse": (1, 0, 0),
+        "mul_associative": (1, 1, 1),
+        "mul_commutative": (1, 1, 0),
+        "mul_identity": (1, 0, 0),
+        "mul_inverse": (2, 0, 0),
+        "distributive": (1, 1, 1),
+    }
+
+    def test_sample_count_is_the_law_evaluations_made(self, monkeypatch):
+        assert verify_field_axioms(L13).sample_count == 41
+        monkeypatch.setattr(fieldgen, "loc_mul", lambda loc, x, y: loc_mul(loc, x, y) + (x - y))
+        report = verify_field_axioms(L13)
+        grid = fieldgen._grid(L13)
+        made = 0
+        for check in report.checks:
+            triples = list(itertools.product(*(grid[: d + 1] for d in self.DEGREES[check.name])))
+            made += triples.index(check.counterexample) + 1 if check.counterexample else len(triples)
+        assert report.failed() and report.sample_count == made < 41
 
     def test_broken_multiplication_caught_with_rechecked_counterexamples(self, monkeypatch):
         def skewed(loc, x, y):

@@ -5,6 +5,7 @@ import json
 import pytest
 from hypothesis import example, given, strategies as st
 
+from uniline import structures
 from uniline.structures import (
     FiniteStructure,
     Signature,
@@ -162,3 +163,51 @@ def test_any_input_round_trips_or_is_a_structure_error(text):
     assert parse_structure(rendered) == structure
     assert render_structure(parse_structure(rendered)) == rendered
     assert parse_structure(render_structure_json(structure)) == structure
+
+
+BASE_JSON = {"signature": {"e": 2}, "universe": ["a", "b"], "relations": {"e": [["a", "b"]]}}
+
+
+def _json(**changes) -> str:
+    return json.dumps({**BASE_JSON, **changes})
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"signature": }', "invalid JSON: Expecting value: line 1 column 15 (char 14)"),
+        ('{"signature": {}, "universe": ["a"]}', "JSON structure missing key 'relations'"),
+        (_json(signature=["e", 2]), "JSON 'signature' must map relation names to integer arities"),
+        (_json(signature={"e": True}), "JSON 'signature' must map relation names to integer arities"),
+        (_json(universe="a b"), "JSON 'universe' must be a list of strings"),
+        (_json(relations=[["a", "b"]]), "JSON 'relations' must be an object"),
+        (_json(relations={"f": []}), "unknown relation 'f' in 'relations'"),
+        (_json(relations={"e": ["ab"]}), "JSON relation 'e' must be a list of lists of strings"),
+        # only text that begins with '{' is read as JSON
+        ('["signature"]', "line 1: content before any section header: '[\"signature\"]'"),
+        ("signature\n  e/2\nsignature\n", "line 3: duplicate section 'signature'"),
+        ("# note\n\ne/2\nsignature\n", "line 3: content before any section header: 'e/2'"),
+        ("signature\n  e/2\n", "missing section 'universe'"),
+        ("universe\n  a\n", "missing section 'signature'"),
+        ("signature\n  e/2 e2\nuniverse\n  a\n", "line 2: expected name/arity, got 'e2'"),
+        ("signature\n  e/x\nuniverse\n  a\n", "line 2: arity must be a positive integer in 'e/x'"),
+        ("signature\n  e/²\nuniverse\n  a\n", "line 2: arity must be a positive integer in 'e/²'"),
+        ("signature\n  e/0\nuniverse\n  a\n", "relation 'e' must have arity >= 1"),
+        ("signature\n  e/2\nuniverse\n  a\nrelations\n  e (a,a)\n", "line 6: expected 'name: (tuple) ...', got 'e (a,a)'"),
+        ("signature\n  e/2\nuniverse\n  a\nrelations\n  f: (a,a)\n", "line 6: unknown relation 'f'"),
+        ("signature\n  e/2\nuniverse\n  a\nrelations\n  e: (a,a) a\n", "line 6: unparsable relation entries 'a'"),
+        ("signature\n  e/2\nuniverse\n  a\nrelations\n  e: (a,,a)\n", "line 6: malformed tuple (a,,a)"),
+        ("signature\n  e/2\nuniverse\n  a\nrelations\n  e: ( )\n", "line 6: malformed tuple ( )"),
+    ],
+)
+def test_every_error_message(text, message):
+    with pytest.raises(StructureError) as excinfo:
+        parse_structure(text)
+    assert str(excinfo.value) == message
+
+
+def test_json_that_is_not_an_object():
+    # parse_structure reads text as JSON only when it begins with '{', so
+    # only a direct call reaches this message
+    with pytest.raises(StructureError, match=r"^JSON structure must be an object$"):
+        structures._parse_json("[1]")
