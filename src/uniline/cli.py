@@ -5,18 +5,21 @@ Exit codes: 0 when the command succeeds (and any checked property holds),
 the output), 2 for input errors.  With ``--format machine`` every command
 emits line-delimited JSON records carrying a ``schema_version`` field;
 output is byte-identical across runs for identical arguments and seed.
+
+Every command path and its options are declared in the table
+``uniline.cli.COMMANDS``, and a command line is read from it in one pass.
 """
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
 import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from . import autgroup, cuts, cyclic, fieldgen, ordline, uniformity
 from .formulas import render_formula
@@ -49,121 +52,188 @@ def _load_structure(path: str):
     return parse_structure(text)
 
 
-class _ArgumentParser(argparse.ArgumentParser):
-    """Reads ``--option=--`` as the value "--", which argparse 3.11 turns into [],
-    and any argument with a single leading ``-`` as a value, such as
-    ``--zero -1/2``: every option except ``-h`` starts with ``--``, and
-    ``-h`` is matched before this check."""
+class _Option(NamedTuple):
+    """A ``--name`` option: its type (``str``, ``int``, a tuple of choices, or
+    ``list`` for a string that repeats, every value kept), its default (None
+    for an option that must be given) and its help text."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"-(?!-)")
-
-    def _get_values(self, action, arg_strings):
-        if arg_strings == ["--"] and action.nargs is None:
-            value = self._get_value(action, "--")
-            self._check_value(action, value)
-            return value
-        return super()._get_values(action, arg_strings)
+    kind: object = str
+    default: object = None
+    help: str = ""
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """Built once per process, on the first ``run``; each parse still
-    returns a fresh namespace."""
-    parser = _ArgumentParser(prog="uniline", description=__doc__)
-    parser.add_argument("--format", choices=("text", "machine"), default="text")
-    parser.add_argument("--seed", type=int, default=0)
-    commands = parser.add_subparsers(dest="command", required=True)
+_S, _N = _Option(), _Option(int)  # a required string, a required integer
+_ORACLES = {"lt": cuts.oracle_lt, "le": cuts.oracle_le, "sq-lt": cuts.oracle_sq_lt}
+_GLOBAL = {"format": _Option(("text", "machine"), "text"), "seed": _Option(int, 0)}
+COMMANDS: dict[tuple[str, ...], dict[str, _Option]] = {
+    ("structure", "parse"): {"structure": _S, "emit": _Option(("text", "json"), "text")},
+    ("structure", "aut"): {"structure": _S},
+    ("structure", "orbits"): {"structure": _S, "n": _N, "mode": _Option(("tuples", "subsets"), "subsets")},
+    ("uniformity",): {
+        "structure": _S, "n": _N, "method": _Option(("schema", "orbits", "both"), "both"), "depth": _Option(int, 2),
+    },
+    ("line", "classify"): {"map": _S},
+    ("line", "commute"): {"f": _S, "g": _S},
+    ("line", "tile"): {"shift": _S, "base": _S, "window": _N},
+    ("line", "factor"): {"map": _S, "shift": _S, "side": _Option(("left", "right"))},
+    ("line", "measure"): {"shift": _S, "lo": _S, "hi": _S},
+    ("field", "eval"): {"zero": _S, "one": _S, "expr": _S},
+    ("field", "verify"): {"zero": _S, "one": _S, "samples": _Option(int, 1000)},
+    ("field", "iso"): {"zero1": _S, "one1": _S, "zero2": _S, "one2": _S, "samples": _Option(int, 1000)},
+    ("field", "stretch"): {"zero": _S, "one": _S, "factor": _S, "lo": _S, "hi": _S},
+    ("cyclic", "orient"): {"points": _Option(help="three points, comma separated; 'inf' allowed")},
+    ("cyclic", "linearize"): {"cut": _S, "points": _S},
+    ("cyclic", "mobius"): {"map": _Option(help="a,b,c,d for (a*x+b)/(c*x+d)"), "triples": _Option(int, 20)},
+    ("cuts", "rays"): {"set": _Option(help="whitespace-separated rationals")},
+    ("cuts", "galois"): {"set": _S},
+    ("cuts", "classify"): {"oracle": _Option(tuple(_ORACLES)), "target": _S, "bound": _Option(int, 10**6)},
+    ("cuts", "probe"): {"cut": _Option(list, help="KIND:TARGET, once per cut"), "bound": _Option(int, 10**6)},
+}
 
-    structure = commands.add_parser("structure").add_subparsers(dest="action", required=True)
-    sp = structure.add_parser("parse")
-    sp.add_argument("--structure", required=True, metavar="FILE")
-    sp.add_argument("--emit", choices=("text", "json"), default="text")
-    sa = structure.add_parser("aut")
-    sa.add_argument("--structure", required=True)
-    so = structure.add_parser("orbits")
-    so.add_argument("--structure", required=True)
-    so.add_argument("--n", type=int, required=True)
-    so.add_argument("--mode", choices=("tuples", "subsets"), default="subsets")
 
-    un = commands.add_parser("uniformity")
-    un.add_argument("--structure", required=True)
-    un.add_argument("--n", type=int, required=True)
-    un.add_argument("--method", choices=("schema", "orbits", "both"), default="both")
-    un.add_argument("--depth", type=int, default=2)
+class _Stop(Exception):
+    """A request for the help of ``level`` when ``error`` is None, else a bad command line."""
 
-    line = commands.add_parser("line").add_subparsers(dest="action", required=True)
-    lc = line.add_parser("classify")
-    lc.add_argument("--map", required=True)
-    lk = line.add_parser("commute")
-    lk.add_argument("--f", required=True)
-    lk.add_argument("--g", required=True)
-    lt = line.add_parser("tile")
-    lt.add_argument("--shift", required=True)
-    lt.add_argument("--base", required=True)
-    lt.add_argument("--window", type=int, required=True)
-    lf = line.add_parser("factor")
-    lf.add_argument("--map", required=True)
-    lf.add_argument("--shift", required=True)
-    lf.add_argument("--side", choices=("left", "right"), required=True)
-    lm = line.add_parser("measure")
-    lm.add_argument("--shift", required=True)
-    lm.add_argument("--lo", required=True)
-    lm.add_argument("--hi", required=True)
+    def __init__(self, level: _Level, error: str | None = None):
+        self.level, self.error = level, error
 
-    fld = commands.add_parser("field").add_subparsers(dest="action", required=True)
-    fe = fld.add_parser("eval")
-    fe.add_argument("--zero", required=True)
-    fe.add_argument("--one", required=True)
-    fe.add_argument("--expr", required=True)
-    fv = fld.add_parser("verify")
-    fv.add_argument("--zero", required=True)
-    fv.add_argument("--one", required=True)
-    fv.add_argument("--samples", type=int, default=1000)
-    fi = fld.add_parser("iso")
-    fi.add_argument("--zero1", required=True)
-    fi.add_argument("--one1", required=True)
-    fi.add_argument("--zero2", required=True)
-    fi.add_argument("--one2", required=True)
-    fi.add_argument("--samples", type=int, default=1000)
-    fs = fld.add_parser("stretch")
-    fs.add_argument("--zero", required=True)
-    fs.add_argument("--one", required=True)
-    fs.add_argument("--factor", required=True)
-    fs.add_argument("--lo", required=True)
-    fs.add_argument("--hi", required=True)
 
-    cyc = commands.add_parser("cyclic").add_subparsers(dest="action", required=True)
-    co = cyc.add_parser("orient")
-    co.add_argument("--points", required=True, help="three points, comma separated; 'inf' allowed")
-    cl = cyc.add_parser("linearize")
-    cl.add_argument("--cut", required=True)
-    cl.add_argument("--points", required=True)
-    cm = cyc.add_parser("mobius")
-    cm.add_argument("--map", required=True, help="a,b,c,d for (a*x+b)/(c*x+d)")
-    cm.add_argument("--triples", type=int, default=20)
+class _Level:
+    """The root, a command word with actions below it, or a leaf.  A level
+    reads its options, then the word that leads on or, at a leaf, on to the
+    end.  An option may be shortened to a unique prefix and takes its value
+    after ``=`` or from the next argument.  An argument names an option if it
+    starts with ``-h``, or with ``--`` and has no space; any other is a value
+    or a word, such as -1/2.  ``--`` is neither and ends what is read.  An
+    ambiguous prefix anywhere in a level is an error before it reads anything."""
 
-    cut = commands.add_parser("cuts").add_subparsers(dest="action", required=True)
-    cr = cut.add_parser("rays")
-    cr.add_argument("--set", required=True, help="whitespace-separated rationals")
-    cg = cut.add_parser("galois")
-    cg.add_argument("--set", required=True)
-    cc = cut.add_parser("classify")
-    cc.add_argument("--oracle", choices=("lt", "le", "sq-lt"), required=True)
-    cc.add_argument("--target", required=True)
-    cc.add_argument("--bound", type=int, default=10**6)
-    cp = cut.add_parser("probe")
-    cp.add_argument("--cut", action="append", required=True, metavar="KIND:TARGET")
-    cp.add_argument("--bound", type=int, default=10**6)
-    return parser
+    def __init__(self, path: tuple[str, ...], options: dict[str, _Option]):
+        self.path, self.options, self.words = path, options, {}
+        self.defaults = {dest: option.default for dest, option in options.items()}
+        self.prog, self.dest = " ".join(("uniline",) + path), ("command", "action", None)[len(path)]
+        self.spelled = {dest: f"--{dest} " + ("{" + ",".join(option.kind) + "}" if isinstance(option.kind, tuple)
+                                              else dest.upper()) for dest, option in options.items()}
+        matches: dict[str, list[str]] = {}
+        for string in ["--help"] + ["--" + name for name in options]:
+            for end in range(2, len(string) + 1):
+                matches.setdefault(string[:end], []).append(string)
+        # each whole name and unique prefix, to its option; each other prefix, to the names it could be
+        self.names = {head: head if head in found else found[0]
+                      for head, found in matches.items() if len(found) == 1 or head in found}
+        self.ambiguous = {head: found for head, found in matches.items() if head not in self.names}
+
+    def classify(self, token: str) -> tuple[str, str | None] | None:
+        """The option ``token`` names ("" for one of no level here) and the
+        value after its ``=``; None for a value, a word or ``--``."""
+        if token[:1] != "-" or token in ("-", "--"):
+            return None
+        head, equals, value = token.partition("=")
+        explicit = value if equals else None
+        if token[1] != "-":  # -h, -h=VALUE or -hVALUE; any other is a value
+            if not head.startswith("-h"):
+                return None
+            return "-h", explicit if head == "-h" else token[2:]
+        if head in self.names:
+            return self.names[head], explicit
+        return None if " " in token else ("", None)
+
+    def read(self, argv: list[str], i: int, values: dict, extras: list[str]) -> tuple[_Level | None, int]:
+        """Reads this level from ``argv[i:]`` into ``values``, and what it
+        cannot place into ``extras``; returns the next level and its start."""
+        for token in argv[i:]:
+            if token == "--":
+                break
+            if found := self.ambiguous.get(token.partition("=")[0]):
+                raise _Stop(self, f"ambiguous option: {token} could match {', '.join(found)}")
+        values.update(self.defaults)
+        while i < len(argv):
+            token = argv[i]
+            i += 1
+            string, text = self.classify(token) or (None, None)
+            if string is None and self.words:
+                if token not in self.words:
+                    raise _Stop(self, f"argument {self.dest}: invalid choice: {token!r}")
+                values[self.dest] = token
+                return self.words[token], i
+            if token == "--":  # nothing after it is read
+                extras += argv[i - 1:]
+                break
+            if not string:
+                extras.append(token)
+            elif string in ("-h", "--help"):
+                if text is None or string == "-h" and text and not text.strip("h"):  # -hh reads as -h -h
+                    raise _Stop(self)
+                raise _Stop(self, f"argument -h/--help: ignored explicit argument {text!r}")
+            else:
+                if text is None:
+                    if i == len(argv) or argv[i] == "--" or self.classify(argv[i]):
+                        raise _Stop(self, f"argument {string}: expected one argument")
+                    text, i = argv[i], i + 1
+                values[string[2:]] = self._value(string, text, values[string[2:]])
+        if self.words:
+            raise _Stop(self, f"the following arguments are required: {self.dest}")
+        if None in values.values():  # only an option that must be given and was not holds None
+            missing = ", ".join("--" + dest for dest in self.options if values[dest] is None)
+            raise _Stop(self, f"the following arguments are required: {missing}")
+        return None, i
+
+    def _value(self, string: str, text: str, before):
+        kind = self.options[string[2:]].kind
+        if kind is int:
+            try:
+                return int(text)
+            except ValueError:
+                raise _Stop(self, f"argument {string}: invalid int value: {text!r}") from None
+        if isinstance(kind, tuple) and text not in kind:
+            raise _Stop(self, f"argument {string}: invalid choice: {text!r} (choose from {', '.join(kind)})")
+        return (before or []) + [text] if kind is list else text
+
+    def usage(self) -> str:
+        options = [text if self.options[dest].default is None else f"[{text}]" for dest, text in self.spelled.items()]
+        words = ["{" + ",".join(self.words) + "} ..."] if self.words else []
+        return " ".join(["usage:", self.prog, "[-h]", *options, *words]) + "\n"
+
+    def help(self) -> str:
+        rows = {"-h, --help": "show this help message and exit"}
+        for dest, option in self.options.items():
+            note = "required" if option.default is None else f"default: {option.default}"
+            rows[self.spelled[dest]] = f"{option.help} ({note})".lstrip()
+        text = self.usage() + ("" if self.path else "\n" + __doc__.strip() + "\n")
+        text += f"\n{self.dest}s: {', '.join(self.words)}\n" if self.words else ""
+        return text + "\noptions:\n" + "".join(f"  {spelled:<24}{note}\n" for spelled, note in rows.items())
+
+
+def _command_tree() -> _Level:
+    root = _Level((), _GLOBAL)
+    for path, options in COMMANDS.items():
+        parent = root.words.setdefault(path[0], _Level(path[:1], {})) if len(path) > 1 else root
+        parent.words[path[-1]] = _Level(path, options)
+    return root
+
+
+_ROOT = _command_tree()
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The namespace ``_dispatch`` reads: ``format``, ``seed``, ``command``,
+    ``action`` below a command word, and the options of the command path."""
+    values, extras, level, i = {}, [], _ROOT, 0
+    while level:
+        level, i = level.read(argv, i, values, extras)
+    if extras:
+        raise _Stop(_ROOT, "unrecognized arguments: " + " ".join(extras))
+    return SimpleNamespace(**values)
 
 
 def run(argv: list[str]) -> CommandResult:
     try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return CommandResult(2 if exc.code else 0, [], [])
+        args = _parse(argv)
+    except _Stop as stop:
+        if stop.error is None:
+            sys.stdout.write(stop.level.help())
+            return CommandResult(0, [], [])
+        sys.stderr.write(f"{stop.level.usage()}{stop.level.prog}: error: {stop.error}\n")
+        return CommandResult(2, [], [])
     try:
         result = _dispatch(args)
     except (ValueError, ZeroDivisionError, autgroup.ResourceCapError) as exc:
@@ -174,15 +244,9 @@ def run(argv: list[str]) -> CommandResult:
 
 
 def _dispatch(args) -> CommandResult:
-    handler = {
-        "structure": _cmd_structure,
-        "uniformity": _cmd_uniformity,
-        "line": _cmd_line,
-        "field": _cmd_field,
-        "cyclic": _cmd_cyclic,
-        "cuts": _cmd_cuts,
-    }[args.command]
-    return handler(args)
+    handlers = {"structure": _cmd_structure, "uniformity": _cmd_uniformity, "line": _cmd_line,
+                "field": _cmd_field, "cyclic": _cmd_cyclic, "cuts": _cmd_cuts}
+    return handlers[args.command](args)
 
 
 def _result(args, exit_code: int, lines: list[str], payload: dict) -> CommandResult:
@@ -200,22 +264,14 @@ def _cmd_structure(args) -> CommandResult:
     structure = _load_structure(args.structure)
     if args.action == "parse":
         text = render_structure(structure) if args.emit == "text" else render_structure_json(structure)
-        return _result(
-            args,
-            0,
-            [text.rstrip("\n")],
-            {"universe": list(structure.universe), "rendered": text},
-        )
+        return _result(args, 0, [text.rstrip("\n")], {"universe": list(structure.universe), "rendered": text})
     if args.action == "aut":
         group = autgroup.automorphisms(structure)
         mappings = [[structure.universe[i] for i in g.mapping] for g in group]
         lines = [f"{len(group)} automorphisms"] + [" ".join(m) for m in mappings]
         return _result(args, 0, lines, {"order": len(group), "automorphisms": mappings})
     partition = autgroup.orbit_partition(structure, args.n, mode=args.mode)
-    classes = [
-        [list(autgroup.elements_of(structure, member)) for member in cls]
-        for cls in partition.classes
-    ]
+    classes = [[list(autgroup.elements_of(structure, member)) for member in cls] for cls in partition.classes]
     lines = [f"{len(classes)} orbit classes (n={args.n}, {args.mode})"]
     lines += ["  " + " ".join("(" + ",".join(m) + ")" for m in cls) for cls in classes]
     return _result(args, 0, lines, {"n": args.n, "mode": args.mode, "classes": classes})
@@ -231,9 +287,7 @@ def _verdict_payload(verdict: uniformity.UniformityVerdict) -> dict:
     ce = verdict.counterexample
     if isinstance(ce, uniformity.SchemaCounterexample):
         payload["counterexample"] = {
-            "formula": render_formula(ce.formula),
-            "witness": list(ce.witness),
-            "violating": list(ce.violating),
+            "formula": render_formula(ce.formula), "witness": list(ce.witness), "violating": list(ce.violating),
         }
     elif isinstance(ce, uniformity.OrbitCounterexample):
         payload["counterexample"] = {"first": list(ce.first), "second": list(ce.second)}
@@ -280,12 +334,7 @@ def _cmd_line(args) -> CommandResult:
         f = ordline.parse_affine(args.f)
         g = ordline.parse_affine(args.g)
         report = ordline.preserves_construct(g, f)
-        payload: dict = {
-            "f": str(f),
-            "g": str(g),
-            "commute": report.preserves,
-            "construct_preserved": report.preserves,
-        }
+        payload: dict = {"f": str(f), "g": str(g), "commute": report.preserves, "construct_preserved": report.preserves}
         if report.preserves:
             return _result(args, 0, ["commute: yes (construct preserved)"], payload)
         w = report.witness
@@ -317,10 +366,7 @@ def _cmd_line(args) -> CommandResult:
     interval = ordline.Interval(ordline.parse_rational(args.lo), ordline.parse_rational(args.hi))
     measure = ordline.shift_measure(shift, interval)
     lines = [f"count {measure.count}, remainder {measure.remainder}"]
-    payload = {
-        "count": measure.count,
-        "remainder": [_rat(measure.remainder.lo), _rat(measure.remainder.hi)],
-    }
+    payload = {"count": measure.count, "remainder": [_rat(measure.remainder.lo), _rat(measure.remainder.hi)]}
     return _result(args, 0, lines, payload)
 
 
@@ -390,20 +436,13 @@ def _cmd_field(args) -> CommandResult:
         return _result(args, 0, [_rat(value)], {"value": _rat(value)})
     if args.action == "verify":
         report = fieldgen.verify_field_axioms(loc)
-        payload = {
-            "zero": _rat(loc.zero),
-            "one": _rat(loc.one),
-            "samples": args.samples,
-            "checks": [
-                {
-                    "axiom": check.name,
-                    "passed": check.passed,
-                    "counterexample": _rats(check.counterexample) if check.counterexample else None,
-                }
-                for check in report.checks
-            ],
-            "all_passed": report.all_passed(),
-        }
+        checks = [
+            {"axiom": check.name, "passed": check.passed,
+             "counterexample": _rats(check.counterexample) if check.counterexample else None}
+            for check in report.checks
+        ]
+        payload = {"zero": _rat(loc.zero), "one": _rat(loc.one), "samples": args.samples, "checks": checks,
+                   "all_passed": report.all_passed()}
         lines = [
             f"{check.name}: {'pass' if check.passed else 'FAIL at ' + str(_rats(check.counterexample))}"
             for check in report.checks
@@ -421,12 +460,8 @@ def _cmd_field(args) -> CommandResult:
     factor = ordline.parse_rational(args.factor)
     interval = ordline.Interval(ordline.parse_rational(args.lo), ordline.parse_rational(args.hi))
     image = fieldgen.stretch_image(loc, factor, interval)
-    return _result(
-        args,
-        0,
-        [f"{interval} -> {image}"],
-        {"factor": _rat(factor), "image": [_rat(image.lo), _rat(image.hi)]},
-    )
+    payload = {"factor": _rat(factor), "image": [_rat(image.lo), _rat(image.hi)]}
+    return _result(args, 0, [f"{interval} -> {image}"], payload)
 
 
 # --- cyclic -------------------------------------------------------------------------------
@@ -442,25 +477,15 @@ def _cmd_cyclic(args) -> CommandResult:
         if len(points) != 3:
             raise ValueError("orient requires exactly three points")
         oriented = cyclic.cyclic_orient(*points)
-        word = "true" if oriented else "false"
-        return _result(
-            args,
-            0,
-            [word],
-            {"points": [cyclic.format_proj_point(p) for p in points], "oriented": oriented},
-        )
+        payload = {"points": [cyclic.format_proj_point(p) for p in points], "oriented": oriented}
+        return _result(args, 0, ["true" if oriented else "false"], payload)
     if args.action == "linearize":
         cut = cyclic.parse_proj_point(args.cut)
         points = _proj_points(args.points)
         order = cyclic.linearize_at(cut)
         ordered = order.sort(points)
         rendered = [cyclic.format_proj_point(p) for p in ordered]
-        return _result(
-            args,
-            0,
-            [" < ".join(rendered)],
-            {"cut": cyclic.format_proj_point(cut), "ordered": rendered},
-        )
+        return _result(args, 0, [" < ".join(rendered)], {"cut": cyclic.format_proj_point(cut), "ordered": rendered})
     coefficients = [ordline.parse_rational(p) for p in args.map.split(",")]
     if len(coefficients) != 4:
         raise ValueError("mobius map requires four coefficients a,b,c,d")
@@ -470,12 +495,7 @@ def _cmd_cyclic(args) -> CommandResult:
     # a Möbius map preserves every cyclic orientation or reverses every one
     verdict = cyclic.mobius_orientation(m, [(Fraction(0), Fraction(1), cyclic.INFINITY)])
     det = m.determinant()
-    payload = {
-        "map": [_rat(c) for c in coefficients],
-        "determinant": _rat(det),
-        "orientation": verdict,
-        "triples": args.triples,
-    }
+    payload = {"map": _rats(coefficients), "determinant": _rat(det), "orientation": verdict, "triples": args.triples}
     return _result(args, 0, [f"{verdict} (det = {_rat(det)})"], payload)
 
 
@@ -492,13 +512,9 @@ def _ray_payload(ray: cuts.Ray) -> dict:
 
 def _oracle_from_spec(kind: str, target: str) -> cuts.CutOracle:
     value = ordline.parse_rational(target)
-    if kind == "lt":
-        return cuts.oracle_lt(value)
-    if kind == "le":
-        return cuts.oracle_le(value)
-    if kind == "sq-lt":
-        return cuts.oracle_sq_lt(value)
-    raise ValueError(f"unknown oracle kind {kind!r}")
+    if kind not in _ORACLES:
+        raise ValueError(f"unknown oracle kind {kind!r}")
+    return _ORACLES[kind](value)
 
 
 def _cut_class_payload(verdict: cuts.CutClass) -> dict:
@@ -515,12 +531,8 @@ def _cmd_cuts(args) -> CommandResult:
         points = [ordline.parse_rational(p) for p in args.set.split()]
         upper = cuts.upper_set(points)
         lower = cuts.lower_set(points)
-        return _result(
-            args,
-            0,
-            [f"upper: {upper}", f"lower: {lower}"],
-            {"upper": _ray_payload(upper), "lower": _ray_payload(lower)},
-        )
+        payload = {"upper": _ray_payload(upper), "lower": _ray_payload(lower)}
+        return _result(args, 0, [f"upper: {upper}", f"lower: {lower}"], payload)
     if args.action == "galois":
         points = [ordline.parse_rational(p) for p in args.set.split()]
         report = cuts.galois_closure_check(points)
@@ -529,15 +541,8 @@ def _cmd_cuts(args) -> CommandResult:
             f"X^< = {report.lower}; X^(<>) = {report.lower_upper}; X^(<><) = {report.lower_upper_lower}",
             "idempotence: " + ("pass" if report.passed() else "FAIL"),
         ]
-        payload = {
-            "upper": _ray_payload(report.upper),
-            "upper_lower": _ray_payload(report.upper_lower),
-            "upper_lower_upper": _ray_payload(report.upper_lower_upper),
-            "lower": _ray_payload(report.lower),
-            "lower_upper": _ray_payload(report.lower_upper),
-            "lower_upper_lower": _ray_payload(report.lower_upper_lower),
-            "passed": report.passed(),
-        }
+        rays = ("upper", "upper_lower", "upper_lower_upper", "lower", "lower_upper", "lower_upper_lower")
+        payload = {name: _ray_payload(getattr(report, name)) for name in rays} | {"passed": report.passed()}
         return _result(args, 0 if report.passed() else 1, lines, payload)
     if args.action == "classify":
         oracle = _oracle_from_spec(args.oracle, args.target)
@@ -558,13 +563,8 @@ def _cmd_cuts(args) -> CommandResult:
     report = cuts.connectivity_probe(oracles, args.bound)
     lines = [f"{name}: {verdict.kind}" for name, verdict in report.results]
     lines.append(report.verdict + (f" (witness: {report.witness})" if report.witness else ""))
-    payload = {
-        "verdict": report.verdict,
-        "witness": report.witness,
-        "results": [
-            {"oracle": name, **_cut_class_payload(verdict)} for name, verdict in report.results
-        ],
-    }
+    results = [{"oracle": name, **_cut_class_payload(verdict)} for name, verdict in report.results]
+    payload = {"verdict": report.verdict, "witness": report.witness, "results": results}
     return _result(args, 0 if report.verdict != cuts.DISCONNECTED else 1, lines, payload)
 
 

@@ -456,12 +456,10 @@ class TestDeterminism:
             assert all(r["schema_version"] == 1 for r in records)
 
 
-class TestCachedParser:
-    def test_parser_is_built_once(self):
-        run(["line", "classify", "--map", "x+1"])
-        assert cli._parser() is cli._parser()
-
-    def test_interleaved_commands_match_a_fresh_parser(self, chain3_file):
+class TestParseState:
+    def test_interleaved_commands_match_each_run_alone(self, chain3_file, monkeypatch):
+        # no option or default of one run leaks into the next: each command
+        # alone, on a freshly built command tree, reads the same
         sequence = [
             ["uniformity", "--structure", chain3_file, "--n", "1", "--depth=1"],
             ["uniformity", "--structure", chain3_file, "--n", "1"],
@@ -474,15 +472,15 @@ class TestCachedParser:
             ["structure", "parse", "--structure", chain3_file, "--emit", "json"],
             ["structure", "parse", "--structure", chain3_file],
         ]
-        cached = [run(argv) for argv in sequence]
-        fresh = []
+        interleaved = [run(argv) for argv in sequence]
+        alone = []
         for argv in sequence:
-            cli._parser.cache_clear()
-            fresh.append(run(argv))
-        assert cached == fresh
-        assert cached[1].records[0]["results"][0]["depth"] == 2
-        assert cached[2].exit_code == 2
-        assert len(cached[4].records[0]["results"]) == 1
+            monkeypatch.setattr(cli, "_ROOT", cli._command_tree())
+            alone.append(run(argv))
+        assert interleaved == alone
+        assert interleaved[1].records[0]["results"][0]["depth"] == 2
+        assert interleaved[2].exit_code == 2
+        assert len(interleaved[4].records[0]["results"]) == 1
 
 
 class TestMain:
