@@ -436,8 +436,9 @@ def semantic_items(
     is its formula built, and atom tables are computed only when reached.
     Order: by layer, within a layer ``exists forall ~ & | ->``, each by
     operand index.  Binders, ``~`` and the right operand of a pair take items
-    of the previous layer; the left operand of ``& |`` is an item up to the
-    right one, that of ``->`` any item.  The room rule builds a candidate at
+    of the previous layer; the left operand of ``& |`` is an item before the
+    right one, that of ``->`` any other item, and no operand of a pair has a
+    full or empty table ((D), (E)).  The room rule builds a candidate at
     depth ``k`` only when its free pool variables, read from its operands'
     open sets (V), number at most ``max_depth - k``, the quantifiers left.
     The stream is exact; (C) to (V) hold by induction on the stream position.
@@ -446,8 +447,19 @@ def semantic_items(
     (as has each subformula of a depth-bounded formula free within ``xs``)
     has its table kept by layer ``depth(φ)``: its operands qualify too and
     have theirs kept by items open only in their free variables, and the
-    candidate on these is built in time in the family of φ's top, is (R), or
-    binds a variable no longer open and has its body's table.
+    candidate on these comes in time in the family of φ's top (if (D) or (E)
+    skips it, its table is kept before it is reached), is (R), or binds a
+    variable no longer open and has its body's table.
+
+    (D) A pair never takes one operand twice: ``A & A`` and ``A | A`` have
+    A's table, and ``A -> A`` is full, which ``x1 = x1`` keeps at layer 0.
+
+    (E) A pair never takes an operand whose table is full or empty: the
+    pair's table is then the other operand's, full, empty, or that of ``~A``
+    (``A -> B`` with ``B`` empty).  Every operand is a kept item, so its
+    table is in ``seen``, and full is kept at layer 0 (D).  The ``~`` family
+    takes ``A`` at the layer after A's, as ``A`` has room there, and that
+    family runs before any ``->`` of its layer.
 
     (P) For a permutation π of the pool, the tables kept by each layer are
     closed under π: the atoms are, and the rules count open variables but
@@ -485,6 +497,7 @@ def semantic_items(
     spc, axes, relation_atoms, equality_atoms, pool_axes, mask_of = _scan_plan(
         structure.signature, xs, pool, structure.size()
     )
+    full = spc.full
 
     formulas: list[Formula] = []
     opens: list[tuple[str, ...]] = []
@@ -492,51 +505,58 @@ def semantic_items(
     tabs: list[int] = []
     seen: set[int] = set()
 
-    def families(layer: int, start: int, count: int):
-        """One layer's candidate families in canonical order, each (build,
-        candidates), made when reached: candidates yield (i, j, table)."""
-        if layer == 0:
-            relations = structure.relation_positions()
-            yield lambda i, _: relation_atoms[i][0], (
-                (i, None, spc.relation_table(relations[rel], args)) for i, (_, rel, args) in enumerate(relation_atoms)
-            )
-            yield lambda i, _: equality_atoms[i][0], ((i, None, t) for i, (_, t) in enumerate(equality_atoms))
-            return
+    def keep(formula: Formula, table: int) -> SemanticItem:
+        open_vars = tuple([v for v, stride, inner in pool_axes if (table ^ (table >> stride)) & inner])
+        seen.add(table)
+        formulas.append(formula)
+        opens.append(open_vars)
+        masks.append(mask_of[open_vars])
+        tabs.append(table)
+        return SemanticItem(formula, table, layer, open_vars)
+
+    layer = 0
+    relations = structure.relation_positions()
+    for atom, rel, args in relation_atoms:
+        if (table := spc.relation_table(relations[rel], args)) not in seen:
+            yield keep(atom, table)
+    for atom, table in equality_atoms:
+        if table not in seen:
+            yield keep(atom, table)
+    count = 0
+    for layer in range(1, max_depth + 1):
+        start, count = count, len(formulas)  # start is the first item of the previous layer
         room = max_depth - layer  # the quantifiers left to close a candidate
         fit = [len(open_vars) <= room for open_vars in mask_of]  # fit[mask] for a pair's union
-        ops = [i for i in range(count) if len(opens[i]) <= room]  # this layer's operands in index order
-        first = bisect.bisect_left(ops, start)  # ops[first:] lie in the previous layer
-        prev = ops[first:]
         binders = [(i, var) for i in range(start, count) if len(opens[i]) <= room + 1 for var in opens[i]]
-        yield lambda i, var: Exists(var, formulas[i]), ((i, var, spc.exists(tabs[i], axes[var])) for i, var in binders)
-        yield lambda i, var: Forall(var, formulas[i]), ((i, var, spc.forall(tabs[i], axes[var])) for i, var in binders)
-        # tables lie within ``spc.full``, so ``spc.full ^ t`` is the negation of t
-        negs = [spc.full ^ t for t in tabs[:count]]
-        yield lambda i, _: Not(formulas[i]), ((i, None, negs[i]) for i in prev)
-        # ops[k] is j, so ops[:k + 1] are the operands up to j
-        yield lambda i, j: And(formulas[i], formulas[j]), (
-            (i, j, tabs[i] & tabs[j])
-            for k, j in enumerate(prev, first) for i in ops[: k + 1] if fit[masks[i] | masks[j]]
-        )
-        yield lambda i, j: Or(formulas[i], formulas[j]), (
-            (i, j, tabs[i] | tabs[j])
-            for k, j in enumerate(prev, first) for i in ops[: k + 1] if fit[masks[i] | masks[j]]
-        )
-        yield lambda i, j: Implies(formulas[i], formulas[j]), (
-            (i, j, negs[i] | tabs[j]) for j in prev for i in ops if fit[masks[i] | masks[j]]
-        )
-
-    count = 0
-    for layer in range(max_depth + 1):
-        start, count = count, len(formulas)  # start is the first item of the previous layer
-        for build, candidates in families(layer, start, count):
-            for i, j, table in candidates:
-                if table in seen:
-                    continue
-                open_vars = tuple([v for v, stride, inner in pool_axes if (table ^ (table >> stride)) & inner])
-                seen.add(table)
-                formulas.append(build(i, j))
-                opens.append(open_vars)
-                masks.append(mask_of[open_vars])
-                tabs.append(table)
-                yield SemanticItem(formulas[-1], table, layer, open_vars)
+        for i, var in binders:
+            if (table := spc.exists(tabs[i], axes[var])) not in seen:
+                yield keep(Exists(var, formulas[i]), table)
+        for i, var in binders:
+            if (table := spc.forall(tabs[i], axes[var])) not in seen:
+                yield keep(Forall(var, formulas[i]), table)
+        # tables lie within ``full``, so ``full ^ t`` is the negation of t
+        negs = [full ^ t for t in tabs[:count]]
+        ops = [i for i in range(count) if len(opens[i]) <= room]  # this layer's operands in index order
+        for i in ops[bisect.bisect_left(ops, start):]:
+            if negs[i] not in seen:
+                yield keep(Not(formulas[i]), negs[i])
+        pairs = [i for i in ops if 0 != tabs[i] != full]  # (E)
+        first = bisect.bisect_left(pairs, start)  # pairs[first:] lie in the previous layer
+        # pairs[k] is j, so pairs[:k] are the operands before j (D)
+        for k in range(first, len(pairs)):
+            j = pairs[k]
+            tab, mask = tabs[j], masks[j]
+            for i in pairs[:k]:
+                if fit[masks[i] | mask] and (table := tabs[i] & tab) not in seen:
+                    yield keep(And(formulas[i], formulas[j]), table)
+        for k in range(first, len(pairs)):
+            j = pairs[k]
+            tab, mask = tabs[j], masks[j]
+            for i in pairs[:k]:
+                if fit[masks[i] | mask] and (table := tabs[i] | tab) not in seen:
+                    yield keep(Or(formulas[i], formulas[j]), table)
+        for j in pairs[first:]:
+            tab, mask = tabs[j], masks[j]
+            for i in pairs:
+                if i != j and fit[masks[i] | mask] and (table := negs[i] | tab) not in seen:
+                    yield keep(Implies(formulas[i], formulas[j]), table)
