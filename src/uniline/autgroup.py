@@ -1,13 +1,10 @@
 """Automorphism groups and orbit partitions of finite structures.
 
-The optimized search backtracks over partial position maps with
-relation-consistency pruning; ``brute_force_automorphisms`` filters all
-``|U|!`` permutations and serves as the independent oracle in tests.  Both
-return the complete group in the same deterministic order (lexicographic by
-image sequence), so results are directly comparable.  The same search,
-stopped at its first automorphism with positions ``0..n-1`` confined to one
-n-subset, decides orbit membership for ``least_outside_orbit`` without
-enumerating the group.
+The search backtracks over partial position maps with relation-consistency
+pruning and returns the complete group in a deterministic order,
+lexicographic by image sequence.  The same search, stopped at its first
+automorphism with positions ``0..n-1`` confined to one n-subset, decides
+orbit membership for ``least_outside_orbit`` without enumerating the group.
 
 The search checks forward only: mapping position ``pos`` completes the
 tuples whose largest position is ``pos``, and each of their images must lie
@@ -71,17 +68,6 @@ class Permutation:
     @classmethod
     def identity(cls, size: int) -> "Permutation":
         return cls(tuple(range(size)))
-
-
-def brute_force_automorphisms(structure: FiniteStructure) -> list[Permutation]:
-    """All automorphisms by filtering every permutation of the universe."""
-    size = structure.size()
-    relations = structure.relation_positions()
-    found = []
-    for mapping in itertools.permutations(range(size)):
-        if all(tuple(mapping[i] for i in t) in rel for rel in relations for t in rel):
-            found.append(Permutation(mapping))
-    return found
 
 
 def _keys(structure: FiniteStructure) -> list[tuple[int, ...]]:

@@ -237,8 +237,7 @@ def run(argv: list[str]) -> CommandResult:
     try:
         result = _dispatch(args)
     except (ValueError, ZeroDivisionError, autgroup.ResourceCapError) as exc:
-        record = {"schema_version": SCHEMA_VERSION, "command": args.command, "error": str(exc)}
-        result = CommandResult(2, [f"error: {exc}"], [record])
+        result = _result(args, 2, [f"error: {exc}"], {"error": str(exc)})
     result.machine = args.format == "machine"
     return result
 

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ordline import AffineMap, Interval, Shift
+from .ordline import AffineMap, Interval
 
 
 @dataclass(frozen=True)
@@ -66,11 +66,6 @@ def loc_inv(loc: Localization, x: Fraction) -> Fraction:
 
 def loc_div(loc: Localization, x: Fraction, y: Fraction) -> Fraction:
     return loc_mul(loc, x, loc_inv(loc, y))
-
-
-def as_shift(loc: Localization, x: Fraction) -> Shift:
-    """The shift corresponding to x under the localized zero."""
-    return Shift(x - loc.zero)
 
 
 @dataclass(frozen=True)

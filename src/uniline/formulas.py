@@ -1,4 +1,5 @@
-"""Constant-free first-order formulas: AST, parser, evaluator, enumerator.
+"""Constant-free first-order formulas: AST, parser, evaluator, and the
+stream of the first formula for each truth table over one structure.
 
 The language has relation atoms, equality between variables, the connectives
 ``~ & | ->`` (binding in that order, tightest first) and the quantifiers
@@ -307,28 +308,6 @@ def _lookup(assignment: Mapping[str, str], var: str) -> str:
 # --- enumeration -----------------------------------------------------------------
 
 
-def enumerate_formulas(signature: Signature, free_var_count: int, max_depth: int) -> Iterator[Formula]:
-    """All formulas with free variables exactly ``x1..xn`` and depth <= d.
-
-    Bound variables come from the pool ``y1..yd`` and are named canonically
-    (each quantifier binds the highest-index pool variable free in its body),
-    so each alpha-equivalence class appears once.  Conjunctions and
-    disjunctions are generated as unordered pairs, which prunes commutative
-    duplicates.  The order is deterministic: formulas appear by depth layer,
-    within a layer by operator (``exists forall ~ & | ->``) and operand index.
-    """
-    if free_var_count < 1:
-        raise ValueError("free_var_count must be >= 1")
-    if max_depth < 0:
-        raise ValueError("max_depth must be >= 0")
-    xs = tuple(f"x{i}" for i in range(1, free_var_count + 1))
-    pool = tuple(f"y{i}" for i in range(1, max_depth + 1))
-    target = frozenset(xs)
-    for formula, _ in _syntactic_items(signature, xs, pool, max_depth):
-        if free_vars(formula) == target:
-            yield formula
-
-
 def _atoms(signature: Signature, variables: tuple[str, ...]) -> Iterator[Formula]:
     for name, arity in signature.relations:
         for args in itertools.product(variables, repeat=arity):
@@ -336,51 +315,6 @@ def _atoms(signature: Signature, variables: tuple[str, ...]) -> Iterator[Formula
     for left in variables:
         for right in variables:
             yield Equal(left, right)
-
-
-def _layer(formulas: list[Formula], start: int, pool: tuple[str, ...]) -> Iterator[Formula]:
-    """The formulas one layer deeper than ``formulas[start:]``, over the
-    formulas present at the first step (the caller appends while this runs),
-    in the canonical order: quantifiers, negation, then the binary
-    connectives by operand index.  ``semantic_items`` keeps this order but
-    prunes by table and needs no last family, as its docstring proves."""
-    count = len(formulas)
-    prev = range(start, count)
-    binders = []
-    for i in prev:
-        free = free_vars(formulas[i])
-        bindable = [v for v in pool if v in free]
-        if bindable:
-            binders.append((bindable[-1], formulas[i]))
-    for ctor in (Exists, Forall):
-        for var, body in binders:
-            yield ctor(var, body)
-    for i in prev:
-        yield Not(formulas[i])
-    for ctor in (And, Or):
-        for j in prev:
-            for i in range(j + 1):
-                yield ctor(formulas[i], formulas[j])
-    for j in prev:
-        for i in range(count):
-            yield Implies(formulas[i], formulas[j])
-    for i in prev:
-        for j in range(start):
-            yield Implies(formulas[i], formulas[j])
-
-
-def _syntactic_items(
-    signature: Signature, xs: tuple[str, ...], pool: tuple[str, ...], max_depth: int
-) -> Iterator[tuple[Formula, int]]:
-    formulas = list(_atoms(signature, xs + pool))
-    yield from ((atom, 0) for atom in formulas)
-    stop = 0
-    for layer in range(1, max_depth + 1):
-        start, stop = stop, len(formulas)
-        for formula in _layer(formulas, start, pool):
-            if layer < max_depth:  # no later layer reads the last one
-                formulas.append(formula)
-            yield formula, layer
 
 
 class SemanticItem(NamedTuple):

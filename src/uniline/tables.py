@@ -57,9 +57,6 @@ class AssignmentSpace:
     def cell_index(self, values: tuple[int, ...]) -> int:
         return sum(v * s for v, s in zip(values, self.strides))
 
-    def test(self, table: int, values: tuple[int, ...]) -> bool:
-        return bool((table >> self.cell_index(values)) & 1)
-
     # -- primitive tables ---------------------------------------------------
 
     def relation_table(self, tuples: frozenset[tuple[int, ...]], axes: tuple[int, ...]) -> int:
@@ -97,7 +94,3 @@ class AssignmentSpace:
 
     def forall(self, table: int, axis: int) -> int:
         return self.full ^ self.exists(self.full ^ table, axis)
-
-    def constant_along(self, table: int, axis: int) -> bool:
-        """True when every cell agrees with its successor along the axis."""
-        return not ((table ^ (table >> self.strides[axis])) & self.inner[axis])

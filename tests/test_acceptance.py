@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from uniline import cli
-from uniline.autgroup import automorphisms, brute_force_automorphisms, orbit_partition
+from uniline.autgroup import automorphisms, orbit_partition
 from uniline.corpus import biclique_2_3, crafted_structures, digraphs_up_to_iso
 from uniline.cuts import (
     GAP,
@@ -31,6 +31,7 @@ from uniline.fieldgen import (
     loc_add,
     loc_mul,
     localization_iso,
+    order_compatibility,
     stretch_image,
     stretch_map,
     verify_field_axioms,
@@ -45,11 +46,15 @@ from uniline.ordline import (
     Shift,
     classify_displacement,
     commutes,
+    point_shift_correspondence,
     preserves_construct,
+    shift_leq,
     tile_line,
     tiling_span,
 )
 from uniline.uniformity import check_uniformity_orbits, check_uniformity_schema
+
+from oracles import brute_force_automorphisms
 
 
 def report(criterion: int, ok: bool, detail: str) -> None:
@@ -169,6 +174,10 @@ def test_criterion_2_automorphism_oracle_equivalence(corpus):
 
 
 def test_criterion_3_commutation_iff_construct_preservation():
+    """g maps f's graph {(x, f(x))} onto itself exactly when g(f(x)) = f(g(x))
+    at every x.  Both sides are affine in x, so x = 0 and x = 1 decide it,
+    independently of ``commutes``.  Each failed report's witness re-checks.
+    Random pairs almost never commute, so each f is also paired with f∘f."""
     rng = random.Random(3)
 
     def rational():
@@ -180,15 +189,29 @@ def test_criterion_3_commutation_iff_construct_preservation():
             slope = rational()
         return AffineMap(slope, rational())
 
-    disagreements = 0
+    problems = []
+    preserved = witnesses = 0
     for _ in range(1000):
-        f, g = affine(), affine()
-        expected = commutes(f, g)
-        if preserves_construct(g, f).preserves != expected:
-            disagreements += 1
-        if preserves_construct(f, g).preserves != expected:
-            disagreements += 1
-    report(3, disagreements == 0, "1000 affine pairs, both preservation directions, exact")
+        f = affine()
+        for first, second in ((f, affine()), (f, f.compose(f))):
+            for g, h in ((first, second), (second, first)):
+                verdict = preserves_construct(g, h)
+                pointwise = all(g(h(x)) == h(g(x)) for x in (Fraction(0), Fraction(1)))
+                if not verdict.preserves == pointwise == commutes(h, g):
+                    problems.append((g, h, "verdict"))
+                elif verdict.preserves:
+                    preserved += 1
+                else:
+                    w = verdict.witness
+                    witnesses += 1
+                    if w.moved_pair != (g(w.x), g(h(w.x))) or w.expected != h(g(w.x)) or w.expected == w.moved_pair[1]:
+                        problems.append((g, h, "witness"))
+    report(
+        3,
+        not problems,
+        f"2000 affine pairs, both directions, checked at x = 0 and 1: {preserved} preserve, "
+        f"{witnesses} witnesses re-checked; problems: {problems[:3]}",
+    )
 
 
 def test_criterion_4_shift_group_laws():
@@ -403,6 +426,53 @@ def test_criterion_10_cli_determinism(tmp_path):
         ):
             unstable.append(argv[0:2])
     report(10, not unstable, f"{len(commands)} commands, byte-identical machine output per seed")
+
+
+def test_criterion_11_elements_as_automorphisms():
+    """A base point b reads each point x as the shift that takes b to x: the
+    reading is inverted by where the shift sends b, keeps the order, and
+    turns composition of shifts into the addition localized at zero b."""
+    rng = random.Random(11)
+
+    def rational():
+        return Fraction(rng.randint(-50, 50), rng.randint(1, 10))
+
+    problems = []
+    for _ in range(100):
+        b, x, y = rational(), rational(), rational()
+        c = point_shift_correspondence(b)
+        if c.to_point(c.to_shift(x)) != x:
+            problems.append((b, x, "inverse"))
+        if shift_leq(c.to_shift(x), c.to_shift(y)) != (x <= y):
+            problems.append((b, x, y, "order"))
+        if c.to_shift(x).compose(c.to_shift(y)) != c.to_shift(loc_add(Localization(b, b + 1), x, y)):
+            problems.append((b, x, y, "addition"))
+    report(11, not problems, f"100 bases and point pairs: inverse, monotone, additive; problems: {problems[:3]}")
+
+
+def test_criterion_12_order_compatibility():
+    """Each positively oriented localization orders its field: positives are
+    closed under its addition and multiplication, and multiplying by the
+    negated unit reverses the order.  A negatively oriented one is refused."""
+    rng = random.Random(12)
+    failures = []
+    for _ in range(10):
+        zero = Fraction(rng.randint(-50, 50), rng.randint(1, 10))
+        loc = Localization(zero, zero + Fraction(rng.randint(1, 50), rng.randint(1, 10)))
+        if not order_compatibility(loc).all_passed():
+            failures.append(loc)
+    try:
+        order_compatibility(Localization(Fraction(1), Fraction(0)))
+    except ValueError:
+        refused = True
+    else:
+        refused = False
+    report(
+        12,
+        not failures and refused,
+        f"10 localizations with one > zero pass all three order laws; one < zero refused: {refused}; "
+        f"failures: {failures[:2]}",
+    )
 
 
 def test_counterexamples_recheck_by_evaluation(corpus):

@@ -53,11 +53,14 @@ def machine(argv: list[str]) -> tuple[int, list[dict]]:
     return result.exit_code, [json.loads(line) for line in text.splitlines()]
 
 
-def assert_error_exit(result, command: str, error: str) -> None:
-    """Exit 2 with the error as one machine record and as one text line."""
+def assert_error_exit(result, path: str, error: str) -> None:
+    """Exit 2 with the error as one text line and as one machine record,
+    which names the command and action of ``path``, as a success record does."""
+    command, _, action = path.partition(" ")
+    named = f'"action": "{action}", ' if action else ""
     assert result.exit_code == 2
     assert render_output(result, machine=True) == (
-        f'{{"command": "{command}", "error": "{error}", "schema_version": 1}}\n'
+        f'{{{named}"command": "{command}", "error": "{error}", "schema_version": 1}}\n'
     )
     assert render_output(result, machine=False) == f"error: {error}\n"
 
@@ -151,11 +154,11 @@ class TestExitCodes:
     def test_structure_orbits_errors_exit_two(self, antichain11_file, mode, n, error):
         # n is checked before the cap
         result = run(["structure", "orbits", "--structure", antichain11_file, "--n", n, "--mode", mode])
-        assert_error_exit(result, "structure", error)
+        assert_error_exit(result, "structure orbits", error)
 
     def test_structure_aut_above_cap_exits_two(self, antichain11_file):
         result = run(["structure", "aut", "--structure", antichain11_file])
-        assert_error_exit(result, "structure", "universe size 11 exceeds cap 10")
+        assert_error_exit(result, "structure aut", "universe size 11 exceeds cap 10")
 
     def test_non_uniform_text_output(self, chain3_file):
         result = run(["uniformity", "--structure", chain3_file, "--n", "1", "--method", "both", "--depth", "2"])
@@ -264,7 +267,7 @@ class TestCommands:
         ],
     )
     def test_field_eval_errors_exit_two(self, expr, error):
-        assert_error_exit(run(["field", "eval", "--zero", "1", "--one", "3", "--expr", expr]), "field", error)
+        assert_error_exit(run(["field", "eval", "--zero", "1", "--one", "3", "--expr", expr]), "field eval", error)
 
     @given(
         zero=RATIONALS,
@@ -288,7 +291,7 @@ class TestCommands:
         try:
             expected = zero + eval(python, {"Fraction": Fraction}) * unit
         except ZeroDivisionError:
-            assert_error_exit(result, "field", "division by localized zero")
+            assert_error_exit(result, "field eval", "division by localized zero")
             return
         assert result.exit_code == 0
         assert Fraction(result.lines[0]) == expected

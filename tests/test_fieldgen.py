@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 from uniline import fieldgen
 from uniline.fieldgen import (
     Localization,
-    as_shift,
     homomorphism_failure,
     loc_add,
     loc_div,
@@ -23,7 +22,7 @@ from uniline.fieldgen import (
     stretch_map,
     verify_field_axioms,
 )
-from uniline.ordline import AffineMap, Interval
+from uniline.ordline import AffineMap, Interval, point_shift_correspondence
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)
 localizations = st.builds(
@@ -68,8 +67,8 @@ class TestLocalizedAddition:
 
     @given(localizations, rationals, rationals)
     def test_addition_is_shift_composition(self, loc, x, y):
-        composed = as_shift(loc, x).compose(as_shift(loc, y))
-        assert composed == as_shift(loc, loc_add(loc, x, y))
+        as_shift = point_shift_correspondence(loc.zero).to_shift
+        assert as_shift(x).compose(as_shift(y)) == as_shift(loc_add(loc, x, y))
 
 
 class TestLocalizedMultiplication:

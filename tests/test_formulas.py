@@ -18,9 +18,7 @@ from uniline.formulas import (
     Implies,
     Not,
     Or,
-    _syntactic_items,
     depth,
-    enumerate_formulas,
     evaluate,
     free_vars,
     parse_formula,
@@ -30,6 +28,8 @@ from uniline.formulas import (
 from uniline.corpus import biclique_2_3, digraphs_up_to_iso
 from uniline.structures import FiniteStructure, Signature
 from uniline.tables import space
+
+from oracles import _syntactic_items, constant_along, enumerate_formulas
 
 SIG = Signature.of(lt=2)
 
@@ -332,6 +332,30 @@ def mixed_structures(draw, max_size):
     return FiniteStructure.build(signature, universe, relations)
 
 
+@settings(max_examples=30, deadline=None)
+@given(mixed_structures(max_size=2), st.integers(1, 2))
+def test_semantic_stream_keeps_every_syntactic_table_of_layers_zero_and_one(structure, max_depth):
+    # (C) against the syntactic oracle, open formulas included: a formula with
+    # room for its free pool variables has its table kept by its own layer;
+    # the tables are evaluated formula by formula, over the oracle's own atoms
+    xs = ("x1",)
+    pool = tuple(f"y{i}" for i in range(1, max_depth + 1))
+    variables = xs + pool
+    spc = space(structure.size(), len(variables))
+    kept = {}
+    for item in semantic_items(structure, xs, pool, max_depth):
+        kept.setdefault(item.table, item.depth)
+    assignments = [
+        (spc.cell_index(positions), dict(zip(variables, map(structure.universe.__getitem__, positions))))
+        for positions in itertools.product(range(structure.size()), repeat=len(variables))
+    ]
+    items = _syntactic_items(structure.signature, xs, pool, max_depth)
+    for formula, layer in itertools.takewhile(lambda item: item[1] < 2, items):
+        if len(free_vars(formula) - set(xs)) <= max_depth - layer:
+            table = sum(1 << cell for cell, assignment in assignments if evaluate(structure, formula, assignment))
+            assert kept.get(table, layer + 1) <= layer, render_formula(formula)
+
+
 def assert_admission_invariant(structure, max_depth):
     """Each kept item's open variables are exactly the pool variables its
     table is not constant along, and exactly its free pool variables (no kept
@@ -344,7 +368,7 @@ def assert_admission_invariant(structure, max_depth):
     tables = set()
     last_depth = 0
     for item in semantic_items(structure, xs, pool, max_depth):
-        varying = tuple(v for axis, v in enumerate(pool, 1) if not spc.constant_along(item.table, axis))
+        varying = tuple(v for axis, v in enumerate(pool, 1) if not constant_along(spc, item.table, axis))
         assert item.open_vars == varying
         assert free_vars(item.formula) - set(xs) == set(item.open_vars)
         assert item.depth + len(item.open_vars) <= max_depth

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from uniline import autgroup
-from uniline.autgroup import ResourceCapError, brute_force_automorphisms, elements_of, orbit_partition
+from uniline.autgroup import ResourceCapError, elements_of, orbit_partition
 from uniline.corpus import (
     antichain,
     beyond_depth_three,
@@ -21,7 +21,6 @@ from uniline.formulas import (
     Equal,
     Exists,
     depth,
-    enumerate_formulas,
     evaluate,
     parse_formula,
     render_formula,
@@ -37,6 +36,7 @@ from uniline.uniformity import (
     distinguishing_formula,
 )
 
+from oracles import brute_force_automorphisms, enumerate_formulas
 from test_autgroup import random_mixed_structure
 
 
