@@ -63,7 +63,9 @@ class _Option(NamedTuple):
 
 
 _S, _N = _Option(), _Option(int)  # a required string, a required integer
-_ORACLES = {"lt": cuts.oracle_lt, "le": cuts.oracle_le, "sq-lt": cuts.oracle_sq_lt}
+# oracle constructors by name, looked up on ``cuts`` at each call, so a wrapper
+# installed on the module after import (a query counter) is the one called
+_ORACLES = {"lt": "oracle_lt", "le": "oracle_le", "sq-lt": "oracle_sq_lt"}
 _GLOBAL = {"format": _Option(("text", "machine"), "text"), "seed": _Option(int, 0)}
 COMMANDS: dict[tuple[str, ...], dict[str, _Option]] = {
     ("structure", "parse"): {"structure": _S, "emit": _Option(("text", "json"), "text")},
@@ -513,7 +515,7 @@ def _oracle_from_spec(kind: str, target: str) -> cuts.CutOracle:
     value = ordline.parse_rational(target)
     if kind not in _ORACLES:
         raise ValueError(f"unknown oracle kind {kind!r}")
-    return _ORACLES[kind](value)
+    return getattr(cuts, _ORACLES[kind])(value)
 
 
 def _cut_class_payload(verdict: cuts.CutClass) -> dict:

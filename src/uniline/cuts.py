@@ -14,6 +14,12 @@ representable mediants (a gap at that precision).  Runs in one direction are
 searched exponentially, so a boundary with denominator ``q`` is pinned after
 roughly ``log``-many oracle queries per continued-fraction coefficient.  The
 oracle is a Python callable, so it answers every query.
+
+The descent works on integer pairs ``(p, q)`` with ``q > 0``: each queried
+point is a mediant of, or a run along, two adjacent Stern-Brocot pairs, so it
+is already coprime.  The consistency guard compares points by
+cross-multiplication; a ``Fraction`` is built only to hand the point to the
+oracle and to report a verdict.
 """
 
 from __future__ import annotations
@@ -165,7 +171,9 @@ def galois_closure_check(points: Iterable[Fraction]) -> GaloisReport:
 class CutOracle:
     """Decidable membership in a downward-closed set of rationals.
 
-    ``lo`` must be a member and ``hi`` a non-member.
+    ``lo`` must be a member and ``hi`` a non-member.  ``member`` receives a
+    reduced ``Fraction``; the built-in oracles read only its ``numerator``
+    and ``denominator`` and compare integers.
     """
 
     name: str
@@ -182,9 +190,10 @@ class CutOracle:
 
 def oracle_lt(threshold: Fraction) -> CutOracle:
     threshold = Fraction(threshold)
+    n, d = threshold.numerator, threshold.denominator
     return CutOracle(
         f"lt {format_rational(threshold)}",
-        lambda q: q < threshold,
+        lambda q: q.numerator * d < n * q.denominator,
         threshold - 1,
         threshold + 1,
     )
@@ -192,9 +201,10 @@ def oracle_lt(threshold: Fraction) -> CutOracle:
 
 def oracle_le(threshold: Fraction) -> CutOracle:
     threshold = Fraction(threshold)
+    n, d = threshold.numerator, threshold.denominator
     return CutOracle(
         f"le {format_rational(threshold)}",
-        lambda q: q <= threshold,
+        lambda q: q.numerator * d <= n * q.denominator,
         threshold - 1,
         threshold + 1,
     )
@@ -205,9 +215,10 @@ def oracle_sq_lt(target: Fraction) -> CutOracle:
     target = Fraction(target)
     if target <= 0:
         raise CutError("sq-lt oracle requires a positive target")
+    n, d = target.numerator, target.denominator
     return CutOracle(
         f"sq-lt {format_rational(target)}",
-        lambda q: q < 0 or q * q < target,
+        lambda q: q.numerator < 0 or q.numerator**2 * d < n * q.denominator**2,
         Fraction(0),
         target + 1,
     )
@@ -233,26 +244,32 @@ class CutClass:
 
 
 class _Probe:
-    """Query wrapper enforcing consistency with a downward-closed set."""
+    """Query wrapper enforcing consistency with a downward-closed set.
+
+    ``probe(p, q)`` asks the oracle about p/q, for coprime p and q > 0.  The
+    greatest accepted and least rejected points are kept as pairs and compared
+    by cross-multiplication.
+    """
 
     def __init__(self, oracle: CutOracle):
         self.oracle = oracle
-        self.max_true: Fraction | None = None
-        self.min_false: Fraction | None = None
+        self.max_true: tuple[int, int] | None = None
+        self.min_false: tuple[int, int] | None = None
 
-    def __call__(self, value: Fraction) -> bool:
-        answer = bool(self.oracle.member(value))
+    def __call__(self, p: int, q: int) -> bool:
+        answer = bool(self.oracle.member(Fraction(p, q)))
         if answer:
-            if self.max_true is None or value > self.max_true:
-                self.max_true = value
+            if self.max_true is None or p * self.max_true[1] > self.max_true[0] * q:
+                self.max_true = (p, q)
         else:
-            if self.min_false is None or value < self.min_false:
-                self.min_false = value
+            if self.min_false is None or p * self.min_false[1] < self.min_false[0] * q:
+                self.min_false = (p, q)
         if self.max_true is not None and self.min_false is not None:
-            if self.max_true >= self.min_false:
+            (tp, tq), (fp, fq) = self.max_true, self.min_false
+            if tp * fq >= fp * tq:
                 raise NonMonotoneOracleError(
-                    f"oracle {self.oracle.name!r} accepts {self.max_true} but rejects "
-                    f"{self.min_false} below it"
+                    f"oracle {self.oracle.name!r} accepts {Fraction(tp, tq)} but rejects "
+                    f"{Fraction(fp, fq)} below it"
                 )
         return answer
 
@@ -282,18 +299,19 @@ def classify_cut(oracle: CutOracle, denominator_bound: int) -> CutClass:
         raise CutError("denominator bound must be >= 1")
     cap = _verify_cap(denominator_bound)
     probe = _Probe(oracle)
-    if not probe(oracle.lo):
-        raise NonMonotoneOracleError(f"oracle {oracle.name!r} rejects its declared member {oracle.lo}")
-    if probe(oracle.hi):
-        raise NonMonotoneOracleError(f"oracle {oracle.name!r} accepts its declared non-member {oracle.hi}")
+    lo, hi = oracle.lo, oracle.hi
+    if not probe(lo.numerator, lo.denominator):
+        raise NonMonotoneOracleError(f"oracle {oracle.name!r} rejects its declared member {lo}")
+    if probe(hi.numerator, hi.denominator):
+        raise NonMonotoneOracleError(f"oracle {oracle.name!r} accepts its declared non-member {hi}")
 
-    if probe(Fraction(0)):
+    if probe(0, 1):
         low, high = (0, 1), (1, 0)
     else:
         low, high = (-1, 0), (0, 1)
 
     while low[1] + high[1] <= cap:
-        member = probe(_value((low[0] + high[0], low[1] + high[1])))
+        member = probe(low[0] + high[0], low[1] + high[1])
         # one step for both directions: the end on the mediant's side (low
         # for a member, high otherwise) moves toward far through near + k*far
         near, far = (low, high) if member else (high, low)
@@ -325,27 +343,21 @@ def _run(
     denominator (direction infinite: until the consistency guard trips).
     k = 1 is the already-queried mediant, so runs start at k = 2.
     """
-
-    def point(k: int) -> Fraction:
-        return Fraction(base[0] + k * direction[0], base[1] + k * direction[1])
-
-    if direction[1] > 0:
-        k_cap = (bound - base[1]) // direction[1] + 1
+    (bp, bq), (dp, dq) = base, direction
+    if dq > 0:
+        k_cap = (bound - bq) // dq + 1
     else:
         k_cap = None  # unbounded: the probe guard terminates the search
-
-    def continuing(k: int) -> bool:
-        return probe(point(k)) == expect
 
     last_good = 1
     k = 2
     while True:
         if k_cap is not None and k >= k_cap:
-            if continuing(k_cap):
+            if probe(bp + k_cap * dp, bq + k_cap * dq) == expect:
                 return "all", k_cap
             k = k_cap
             break
-        if not continuing(k):
+        if probe(bp + k * dp, bq + k * dq) != expect:
             break
         last_good = k
         k *= 2
@@ -353,7 +365,7 @@ def _run(
     lo, hi = last_good, k
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if continuing(mid):
+        if probe(bp + mid * dp, bq + mid * dq) == expect:
             lo = mid
         else:
             hi = mid

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -33,6 +34,30 @@ from uniline.cuts import (
 
 rationals = st.fractions(min_value=-100, max_value=100, max_denominator=60)
 finite_sets = st.lists(rationals, min_size=1, max_size=8)
+
+# each built-in oracle beside the plain Fraction predicate it decides
+FRACTION_PREDICATES = {
+    "lt": (oracle_lt, lambda t: lambda q: q < t),
+    "le": (oracle_le, lambda t: lambda q: q <= t),
+    "sq-lt": (oracle_sq_lt, lambda t: lambda q: q < 0 or q * q < t),
+}
+targets = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**5)
+oracle_cases = st.one_of(
+    st.tuples(st.sampled_from(["lt", "le"]), targets),
+    st.tuples(st.just("sq-lt"), targets.map(abs).filter(lambda t: t > 0)),
+)
+
+
+def recorded(oracle: CutOracle) -> tuple[CutOracle, list[Fraction]]:
+    """The oracle with a ``member`` that records every point it is asked."""
+    asked: list[Fraction] = []
+    member = oracle.member
+
+    def query(q: Fraction) -> bool:
+        asked.append(q)
+        return member(q)
+
+    return dataclasses.replace(oracle, member=query), asked
 
 
 class TestRays:
@@ -180,8 +205,36 @@ class TestClassify:
 
     def test_non_monotone_oracle_detected(self):
         bad = CutOracle("broken", lambda q: q > 10, Fraction(0), Fraction(20))
-        with pytest.raises(NonMonotoneOracleError):
+        with pytest.raises(NonMonotoneOracleError) as raised:
             classify_cut(bad, 1000)
+        assert str(raised.value) == "oracle 'broken' rejects its declared member 0"
+
+    @pytest.mark.parametrize(
+        "oracle, message",
+        [
+            # the unbounded run doubles past the declared non-member
+            (CutOracle("hole", lambda q: q != 20, Fraction(0), Fraction(20)),
+             "oracle 'hole' accepts 32 but rejects 20 below it"),
+            # the first run along 1/k is accepted above the declared non-member
+            (CutOracle("spike", lambda q: q < Fraction(1, 3) or q == Fraction(1, 2), Fraction(0), Fraction(2, 5)),
+             "oracle 'spike' accepts 1/2 but rejects 2/5 below it"),
+        ],
+    )
+    def test_consistency_guard_message(self, oracle, message):
+        with pytest.raises(NonMonotoneOracleError) as raised:
+            classify_cut(oracle, 1000)
+        assert str(raised.value) == message
+
+    @given(oracle_cases, st.sampled_from([1, 10, 10**4, 10**6]))
+    def test_same_queries_as_fraction_predicate(self, case, bound):
+        """A built-in oracle asks exactly the points, in the same order, and
+        reaches the same verdict as the plain Fraction predicate it decides."""
+        kind, target = case
+        constructor, predicate = FRACTION_PREDICATES[kind]
+        built, built_asked = recorded(constructor(target))
+        reference, reference_asked = recorded(CutOracle(built.name, predicate(target), built.lo, built.hi))
+        assert classify_cut(built, bound) == classify_cut(reference, bound)
+        assert built_asked == reference_asked
 
     def test_bad_bounds_detected(self):
         with pytest.raises(CutError):

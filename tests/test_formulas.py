@@ -298,16 +298,18 @@ class TestSemanticDedup:
             assert key not in seen
             seen.add(key)
 
-    def test_semantic_stream_covers_syntactic_tables(self, cycle3):
-        # oracle: brute-force truth tables of the full syntactic enumeration
+    def test_semantic_stream_covers_syntactic_tables(self, chain3):
+        # oracle: brute-force truth tables of the full syntactic enumeration;
+        # the 3-chain is rigid, so its n = 1 tables separate all three elements
         brute = {
-            self._truth_key(cycle3, formula, 1)
-            for formula in drained(cycle3.signature, 1, 2)
+            self._truth_key(chain3, formula, 1)
+            for formula in drained(chain3.signature, 1, 2)
         }
         deduped = {
-            self._truth_key(cycle3, formula, 1)
-            for formula in closed_representatives(cycle3, 2)
+            self._truth_key(chain3, formula, 1)
+            for formula in closed_representatives(chain3, 2)
         }
+        assert len(brute) == 7
         assert brute == deduped
 
     def test_items_report_tables_consistently(self, chain2):
