@@ -246,18 +246,22 @@ class CutClass:
 class _Probe:
     """Query wrapper enforcing consistency with a downward-closed set.
 
-    ``probe(p, q)`` asks the oracle about p/q, for coprime p and q > 0.  The
-    greatest accepted and least rejected points are kept as pairs and compared
-    by cross-multiplication.
+    ``probe(p, q)`` asks the oracle about p/q, for coprime p and q > 0, once:
+    a point asked again (``0`` when it is ``lo``, or a run landing on ``lo``
+    or ``hi``) is answered from ``answers``.  The greatest accepted and least
+    rejected points are kept as pairs and compared by cross-multiplication.
     """
 
     def __init__(self, oracle: CutOracle):
         self.oracle = oracle
+        self.answers: dict[tuple[int, int], bool] = {}
         self.max_true: tuple[int, int] | None = None
         self.min_false: tuple[int, int] | None = None
 
     def __call__(self, p: int, q: int) -> bool:
-        answer = bool(self.oracle.member(Fraction(p, q)))
+        if (p, q) in self.answers:
+            return self.answers[p, q]
+        answer = self.answers[p, q] = bool(self.oracle.member(Fraction(p, q)))
         if answer:
             if self.max_true is None or p * self.max_true[1] > self.max_true[0] * q:
                 self.max_true = (p, q)

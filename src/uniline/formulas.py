@@ -322,7 +322,8 @@ class SemanticItem(NamedTuple):
 
     ``table`` covers assignments of ``xs + pool`` into the universe, encoded
     per :mod:`uniline.tables`.  ``open_vars``, the pool variables the table
-    varies along, are its formula's free ones (``semantic_items``, (V)).
+    varies along, are its formula's free ones (``semantic_items``, (V)); the
+    scan takes them from the formula's operands, never from the table.
     """
 
     formula: Formula
@@ -334,26 +335,28 @@ class SemanticItem(NamedTuple):
 @lru_cache(maxsize=None)
 def _scan_plan(signature: Signature, xs: tuple[str, ...], pool: tuple[str, ...], size: int):
     """The part of a scan's set-up that does not read the structure: the
-    space, the axis of each variable, each relation atom with its relation
-    index and axes, each equality atom with its table, ``(var, stride,
-    inner)`` for each pool axis, and the bit mask of each open set.  The
-    equality tables number at most ``len(xs + pool)`` squared, no more
-    than the space's own axis masks, since ``n <= size``."""
+    space, each relation atom with its relation index, its axes and the bit
+    mask of its pool variables, each equality atom with its table and mask,
+    and for each mask, its open set (the pool variables of its bits, in pool
+    order) and ``(var, axis, mask without var)`` for each of them.  The
+    equality tables number at most ``len(xs + pool)`` squared, no more than
+    the space's own axis masks, since ``n <= size``."""
     variables = xs + pool
     axes = {v: i for i, v in enumerate(variables)}
+    bits = {v: 1 << k for k, v in enumerate(pool)}
     spc = tables.space(size, len(variables))
     index = {name: k for k, name in enumerate(signature.names())}
     relation_atoms = []
     equality_atoms = []
     for atom in _atoms(signature, variables):
+        mask = sum(bits.get(v, 0) for v in free_vars(atom))
         if isinstance(atom, Atom):
-            relation_atoms.append((atom, index[atom.relation], tuple(axes[v] for v in atom.args)))
+            relation_atoms.append((atom, index[atom.relation], tuple(axes[v] for v in atom.args), mask))
         else:
-            equality_atoms.append((atom, spc.equality_table(axes[atom.left], axes[atom.right])))
-    pool_axes = tuple((v, spc.strides[axes[v]], spc.inner[axes[v]]) for v in pool)
-    # every open set, a tuple of pool variables in pool order, in order of its bit mask
-    masks = {tuple(v for k, v in enumerate(pool) if mask >> k & 1): mask for mask in range(1 << len(pool))}
-    return spc, axes, tuple(relation_atoms), tuple(equality_atoms), pool_axes, masks
+            equality_atoms.append((atom, spc.equality_table(axes[atom.left], axes[atom.right]), mask))
+    open_sets = tuple(tuple(v for v in pool if mask & bits[v]) for mask in range(1 << len(pool)))
+    binds = tuple(tuple((v, axes[v], mask ^ bits[v]) for v in open_set) for mask, open_set in enumerate(open_sets))
+    return spc, tuple(relation_atoms), tuple(equality_atoms), open_sets, binds
 
 
 def semantic_items(
@@ -426,54 +429,57 @@ def semantic_items(
     (V) A candidate φ free in a pool variable ``v`` that is not open has the
     table of ``φ[x1/v]``, kept before it (S).  So no kept item is vacuous,
     and neither a vacuity test nor a ``->`` family with the deeper operand
-    on the left (R) would ever change the scan's state.
+    on the left (R) would ever change the scan's state.  (V) also makes a
+    kept item's open set its free pool set, which ``keep`` takes as a bit
+    mask from the candidate: an atom's pool variables, a binder's operand's
+    less the bound one, that of ``~``'s operand, and a pair's union.
     """
-    spc, axes, relation_atoms, equality_atoms, pool_axes, mask_of = _scan_plan(
+    spc, relation_atoms, equality_atoms, open_sets, binds = _scan_plan(
         structure.signature, xs, pool, structure.size()
     )
     full = spc.full
 
     formulas: list[Formula] = []
-    opens: list[tuple[str, ...]] = []
     masks: list[int] = []  # the open variables of each kept item as pool bits
     tabs: list[int] = []
     seen: set[int] = set()
 
-    def keep(formula: Formula, table: int) -> SemanticItem:
-        open_vars = tuple([v for v, stride, inner in pool_axes if (table ^ (table >> stride)) & inner])
+    def keep(formula: Formula, table: int, mask: int) -> SemanticItem:
         seen.add(table)
         formulas.append(formula)
-        opens.append(open_vars)
-        masks.append(mask_of[open_vars])
+        masks.append(mask)
         tabs.append(table)
-        return SemanticItem(formula, table, layer, open_vars)
+        return SemanticItem(formula, table, layer, open_sets[mask])
 
     layer = 0
-    relations = structure.relation_positions()
-    for atom, rel, args in relation_atoms:
-        if (table := spc.relation_table(relations[rel], args)) not in seen:
-            yield keep(atom, table)
-    for atom, table in equality_atoms:
+    interpretation = structure.interpretation
+    by_element = tables.element_masks(spc, structure.universe)
+    for atom, rel, args, mask in relation_atoms:
+        if (table := spc.relation_table(interpretation[rel][1], args, by_element)) not in seen:
+            yield keep(atom, table, mask)
+    for atom, table, mask in equality_atoms:
         if table not in seen:
-            yield keep(atom, table)
+            yield keep(atom, table, mask)
     count = 0
     for layer in range(1, max_depth + 1):
         start, count = count, len(formulas)  # start is the first item of the previous layer
         room = max_depth - layer  # the quantifiers left to close a candidate
-        fit = [len(open_vars) <= room for open_vars in mask_of]  # fit[mask] for a pair's union
-        binders = [(i, var) for i in range(start, count) if len(opens[i]) <= room + 1 for var in opens[i]]
-        for i, var in binders:
-            if (table := spc.exists(tabs[i], axes[var])) not in seen:
-                yield keep(Exists(var, formulas[i]), table)
-        for i, var in binders:
-            if (table := spc.forall(tabs[i], axes[var])) not in seen:
-                yield keep(Forall(var, formulas[i]), table)
+        fit = [len(open_set) <= room for open_set in open_sets]  # fit[mask]
+        binders = [
+            (i, var, axis, rest) for i in range(start, count) for var, axis, rest in binds[masks[i]] if fit[rest]
+        ]
+        for i, var, axis, rest in binders:
+            if (table := spc.exists(tabs[i], axis)) not in seen:
+                yield keep(Exists(var, formulas[i]), table, rest)
+        for i, var, axis, rest in binders:
+            if (table := spc.forall(tabs[i], axis)) not in seen:
+                yield keep(Forall(var, formulas[i]), table, rest)
         # tables lie within ``full``, so ``full ^ t`` is the negation of t
         negs = [full ^ t for t in tabs[:count]]
-        ops = [i for i in range(count) if len(opens[i]) <= room]  # this layer's operands in index order
+        ops = [i for i in range(count) if fit[masks[i]]]  # this layer's operands in index order
         for i in ops[bisect.bisect_left(ops, start):]:
             if negs[i] not in seen:
-                yield keep(Not(formulas[i]), negs[i])
+                yield keep(Not(formulas[i]), negs[i], masks[i])
         pairs = [i for i in ops if 0 != tabs[i] != full]  # (E)
         first = bisect.bisect_left(pairs, start)  # pairs[first:] lie in the previous layer
         # pairs[k] is j, so pairs[:k] are the operands before j (D)
@@ -481,16 +487,16 @@ def semantic_items(
             j = pairs[k]
             tab, mask = tabs[j], masks[j]
             for i in pairs[:k]:
-                if fit[masks[i] | mask] and (table := tabs[i] & tab) not in seen:
-                    yield keep(And(formulas[i], formulas[j]), table)
+                if fit[union := masks[i] | mask] and (table := tabs[i] & tab) not in seen:
+                    yield keep(And(formulas[i], formulas[j]), table, union)
         for k in range(first, len(pairs)):
             j = pairs[k]
             tab, mask = tabs[j], masks[j]
             for i in pairs[:k]:
-                if fit[masks[i] | mask] and (table := tabs[i] | tab) not in seen:
-                    yield keep(Or(formulas[i], formulas[j]), table)
+                if fit[union := masks[i] | mask] and (table := tabs[i] | tab) not in seen:
+                    yield keep(Or(formulas[i], formulas[j]), table, union)
         for j in pairs[first:]:
             tab, mask = tabs[j], masks[j]
             for i in pairs:
-                if i != j and fit[masks[i] | mask] and (table := negs[i] | tab) not in seen:
-                    yield keep(Implies(formulas[i], formulas[j]), table)
+                if i != j and fit[union := masks[i] | mask] and (table := negs[i] | tab) not in seen:
+                    yield keep(Implies(formulas[i], formulas[j]), table, union)

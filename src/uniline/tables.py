@@ -5,13 +5,16 @@ variable tuple into a universe of size ``m``.  Assignments are encoded as
 base-``m`` digit strings: variable ``i`` is digit ``i``, so the cell for
 values ``(v_0, ..., v_{k-1})`` sits at bit ``sum(v_i * m**i)``.  All logical
 connectives become integer bit operations and quantifiers become folds along
-one digit axis, which keeps depth-bounded formula scans tractable.  Every
-table lies within ``full``, so ``full ^ t`` is exactly the negation of ``t``
-and ``forall`` is computed as ∀ = ¬∃¬: ``full ^ exists(full ^ t, axis)``.
+one digit axis, which keeps depth-bounded formula scans tractable: ``exists``
+ORs and ``forall`` ANDs the table's shifts by each digit value of the axis,
+in one pass, then keeps the cells at digit 0 and spreads them along the axis.
+Every table lies within ``full``, so ``full ^ t`` is exactly the negation of
+``t``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from functools import lru_cache
 
 # A space keeps m masks per axis, each of up to one bit per cell; the limit
@@ -22,6 +25,14 @@ MAX_MASK_BITS = 10**8
 @lru_cache(maxsize=None)
 def space(universe_size: int, var_count: int) -> "AssignmentSpace":
     return AssignmentSpace(universe_size, var_count)
+
+
+@lru_cache(maxsize=64)
+def element_masks(spc: "AssignmentSpace", universe: tuple[str, ...]) -> tuple[dict[str, int], ...]:
+    """Per axis of ``spc``, each element's cells: the space's own axis masks
+    keyed by the elements of ``universe``, in order.  Cached, because the
+    corpus builds thousands of structures over one universe tuple per size."""
+    return tuple(dict(zip(universe, masks)) for masks in spc._axis_masks)
 
 
 class AssignmentSpace:
@@ -37,14 +48,13 @@ class AssignmentSpace:
         self.strides = [universe_size ** i for i in range(var_count)]
         # axis_mask[i][v]: bits of all cells whose digit i equals v
         self._axis_masks = [self._build_axis_masks(i) for i in range(var_count)]
-        # spread[i]: sum of 2**(v*stride_i); multiplying a digit-0 slice by it
-        # replicates the slice across axis i
-        self._spread = [
-            ((1 << (self.m * s)) - 1) // ((1 << s) - 1) for s in self.strides
+        # fold[i]: the shifts that bring each digit value v > 0 of axis i to
+        # digit 0, the cells at digit 0, and the sum of 2**(v*stride_i), which
+        # replicates a digit-0 slice across axis i when multiplied by it
+        self._fold = [
+            (tuple(range(s, self.m * s, s)), masks[0], ((1 << (self.m * s)) - 1) // ((1 << s) - 1))
+            for s, masks in zip(self.strides, self._axis_masks)
         ]
-        # inner[i]: bits of all cells whose digit i is not the last value m-1,
-        # i.e. the cells that have a successor along axis i
-        self.inner = [self.full & ~masks[-1] for masks in self._axis_masks]
 
     def _build_axis_masks(self, axis: int) -> list[int]:
         s = self.strides[axis]
@@ -59,18 +69,23 @@ class AssignmentSpace:
 
     # -- primitive tables ---------------------------------------------------
 
-    def relation_table(self, tuples: frozenset[tuple[int, ...]], axes: tuple[int, ...]) -> int:
+    def relation_table(
+        self, tuples: frozenset[tuple[str, ...]], axes: tuple[int, ...], masks: Sequence[Mapping[str, int]]
+    ) -> int:
+        """The cells whose digits along ``axes`` spell a tuple of ``tuples``;
+        ``masks[axis][e]`` holds the cells whose digit ``axis`` is element
+        ``e``, as in ``element_masks``."""
         table = 0
         if len(axes) == 2:
             # the general loop unrolled: one AND of two axis masks per tuple
-            first, second = self._axis_masks[axes[0]], self._axis_masks[axes[1]]
+            first, second = masks[axes[0]], masks[axes[1]]
             for u, w in tuples:
                 table |= first[u] & second[w]
             return table
         for tup in tuples:
             bits = self.full
             for axis, value in zip(axes, tup):
-                bits &= self._axis_masks[axis][value]
+                bits &= masks[axis][value]
             table |= bits
         return table
 
@@ -86,11 +101,16 @@ class AssignmentSpace:
 
     def exists(self, table: int, axis: int) -> int:
         """OR of the axis slices, taken at digit 0 and spread along the axis."""
-        s = self.strides[axis]
-        any_bits = 0
-        for v in range(self.m):
-            any_bits |= table >> (v * s)
-        return (any_bits & self._axis_masks[axis][0]) * self._spread[axis]
+        shifts, zero, spread = self._fold[axis]
+        bits = table
+        for shift in shifts:
+            bits |= table >> shift
+        return (bits & zero) * spread
 
     def forall(self, table: int, axis: int) -> int:
-        return self.full ^ self.exists(self.full ^ table, axis)
+        """AND of the axis slices, taken at digit 0 and spread along the axis."""
+        shifts, zero, spread = self._fold[axis]
+        bits = table
+        for shift in shifts:
+            bits &= table >> shift
+        return (bits & zero) * spread

@@ -112,4 +112,7 @@ def brute_force_automorphisms(structure: FiniteStructure) -> list[Permutation]:
 def constant_along(spc, table: int, axis: int) -> bool:
     """True when every cell of ``table`` in the space ``spc`` agrees with its
     successor along the axis."""
-    return not ((table ^ (table >> spc.strides[axis])) & spc.inner[axis])
+    stride = spc.strides[axis]
+    # the cells that have a successor along the axis: their digit is not m - 1
+    inner = sum(1 << c for c in range(spc.cells) if c // stride % spc.m != spc.m - 1)
+    return not ((table ^ (table >> stride)) & inner)

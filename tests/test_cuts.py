@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 from fractions import Fraction
 
@@ -235,6 +236,19 @@ class TestClassify:
         reference, reference_asked = recorded(CutOracle(built.name, predicate(target), built.lo, built.hi))
         assert classify_cut(built, bound) == classify_cut(reference, bound)
         assert built_asked == reference_asked
+
+    @given(oracle_cases, st.sampled_from([1, 10, 10**4, 10**6]), st.integers(0, 3), st.integers(0, 3))
+    def test_no_point_asked_twice(self, case, bound, below, above):
+        """No classification asks the oracle about one point twice: not with
+        a built-in oracle's own bounds (``lo`` is 0 for ``sq-lt``), nor with
+        integer bounds around them, on which the runs can land."""
+        kind, target = case
+        built = FRACTION_PREDICATES[kind][0](target)
+        widened = dataclasses.replace(built, lo=math.floor(built.lo) - below, hi=math.ceil(built.hi) + above)
+        for oracle in (built, widened):
+            oracle, asked = recorded(oracle)
+            classify_cut(oracle, bound)
+            assert len(asked) == len(set(asked)), asked
 
     def test_bad_bounds_detected(self):
         with pytest.raises(CutError):

@@ -3,7 +3,12 @@
 ``semantic_items`` below is the stream as it stood before the scan skipped
 the pairs (D) and (E) of ``uniline.formulas.semantic_items``: one candidate
 generator per family, every pair built.  Its code is kept verbatim as the
-reference; both streams must keep the same items in the same order.
+reference, except that its set-up, ``_plan``, is its own: it builds each
+relation table from universe positions and axis masks made cell by cell,
+reads each kept item's open set off its table, and computes ``forall`` as
+¬∃¬, where the library takes open sets from the operands, relation tables
+from element names and ``forall`` from one fold.  Both streams must keep
+the same items in the same order.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from uniline.formulas import (
     And,
+    Atom,
     Exists,
     Forall,
     Formula,
@@ -23,11 +29,55 @@ from uniline.formulas import (
     Not,
     Or,
     SemanticItem,
-    _scan_plan,
     render_formula,
 )
 from uniline.formulas import semantic_items as pruned_items
 from uniline.structures import FiniteStructure, Signature
+from uniline.tables import space
+
+from oracles import _atoms
+
+
+def _plan(structure: FiniteStructure, xs: tuple[str, ...], pool: tuple[str, ...]):
+    """The space, the axis of each variable, each atom with its table, the
+    open set of a table, the bit mask of each open set, and ``forall``."""
+    variables = xs + pool
+    axes = {v: i for i, v in enumerate(variables)}
+    spc = space(structure.size(), len(variables))
+    m, cells = spc.m, range(spc.cells)
+    # axis_masks[axis][v]: the cells whose digit ``axis`` is v
+    axis_masks = [[sum(1 << c for c in cells if c // stride % m == v) for v in range(m)] for stride in spc.strides]
+    position = {element: k for k, element in enumerate(structure.universe)}
+
+    def cells_where(pairs) -> int:
+        bits = spc.full
+        for axis, value in pairs:
+            bits &= axis_masks[axis][value]
+        return bits
+
+    atoms = []
+    for atom in _atoms(structure.signature, variables):
+        if isinstance(atom, Atom):
+            arg_axes = [axes[v] for v in atom.args]
+            table = 0
+            for t in structure.tuples(atom.relation):
+                table |= cells_where(zip(arg_axes, map(position.get, t)))
+        else:
+            table = 0
+            for v in range(m):
+                table |= cells_where([(axes[atom.left], v), (axes[atom.right], v)])
+        atoms.append((atom, table))
+    # a table is open in a pool variable when some cell differs from its successor along its axis
+    steps = [(v, spc.strides[axes[v]], spc.full & ~axis_masks[axes[v]][m - 1]) for v in pool]
+
+    def open_set(table: int) -> tuple[str, ...]:
+        return tuple([v for v, stride, inner in steps if (table ^ (table >> stride)) & inner])
+
+    def forall(table: int, axis: int) -> int:
+        return spc.full ^ spc.exists(spc.full ^ table, axis)
+
+    mask_of = {tuple(v for k, v in enumerate(pool) if mask >> k & 1): mask for mask in range(1 << len(pool))}
+    return spc, axes, atoms, open_set, mask_of, forall
 
 
 def semantic_items(
@@ -37,9 +87,7 @@ def semantic_items(
     max_depth: int,
 ) -> Iterator[SemanticItem]:
     """The unpruned stream: every candidate of every family is built."""
-    spc, axes, relation_atoms, equality_atoms, pool_axes, mask_of = _scan_plan(
-        structure.signature, xs, pool, structure.size()
-    )
+    spc, axes, atoms, open_set, mask_of, forall = _plan(structure, xs, pool)
 
     formulas: list[Formula] = []
     opens: list[tuple[str, ...]] = []
@@ -51,11 +99,7 @@ def semantic_items(
         """One layer's candidate families in canonical order, each (build,
         candidates), made when reached: candidates yield (i, j, table)."""
         if layer == 0:
-            relations = structure.relation_positions()
-            yield lambda i, _: relation_atoms[i][0], (
-                (i, None, spc.relation_table(relations[rel], args)) for i, (_, rel, args) in enumerate(relation_atoms)
-            )
-            yield lambda i, _: equality_atoms[i][0], ((i, None, t) for i, (_, t) in enumerate(equality_atoms))
+            yield lambda i, _: atoms[i][0], ((i, None, t) for i, (_, t) in enumerate(atoms))
             return
         room = max_depth - layer  # the quantifiers left to close a candidate
         fit = [len(open_vars) <= room for open_vars in mask_of]  # fit[mask] for a pair's union
@@ -64,7 +108,7 @@ def semantic_items(
         prev = ops[first:]
         binders = [(i, var) for i in range(start, count) if len(opens[i]) <= room + 1 for var in opens[i]]
         yield lambda i, var: Exists(var, formulas[i]), ((i, var, spc.exists(tabs[i], axes[var])) for i, var in binders)
-        yield lambda i, var: Forall(var, formulas[i]), ((i, var, spc.forall(tabs[i], axes[var])) for i, var in binders)
+        yield lambda i, var: Forall(var, formulas[i]), ((i, var, forall(tabs[i], axes[var])) for i, var in binders)
         # tables lie within ``spc.full``, so ``spc.full ^ t`` is the negation of t
         negs = [spc.full ^ t for t in tabs[:count]]
         yield lambda i, _: Not(formulas[i]), ((i, None, negs[i]) for i in prev)
@@ -88,7 +132,7 @@ def semantic_items(
             for i, j, table in candidates:
                 if table in seen:
                     continue
-                open_vars = tuple([v for v, stride, inner in pool_axes if (table ^ (table >> stride)) & inner])
+                open_vars = open_set(table)
                 seen.add(table)
                 formulas.append(build(i, j))
                 opens.append(open_vars)

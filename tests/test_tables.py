@@ -5,7 +5,9 @@ import itertools
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from uniline.tables import space
+from uniline.formulas import semantic_items
+from uniline.structures import FiniteStructure, Signature
+from uniline.tables import element_masks, space
 
 from oracles import constant_along
 
@@ -63,23 +65,44 @@ def test_single_element_universe_is_constant_along_every_axis():
 
 @st.composite
 def relation_cases(draw):
+    """A space, a universe whose names are not in position order, a relation
+    of arity 1-3 over it and the axes of its arguments, which may repeat."""
     m = draw(st.integers(1, 4))
     var_count = draw(st.integers(1, 3))
     arity = draw(st.integers(1, 3))
     axes = tuple(draw(st.lists(st.integers(0, var_count - 1), min_size=arity, max_size=arity)))
-    values = st.tuples(*[st.integers(0, m - 1)] * arity)
+    universe = tuple(draw(st.permutations([f"e{k}" for k in range(m)])))
+    values = st.tuples(*[st.sampled_from(universe)] * arity)
     tuples = frozenset(draw(st.lists(values, max_size=m**arity)))
-    return space(m, var_count), tuples, axes
+    return space(m, var_count), universe, tuples, axes
 
 
 @settings(max_examples=300, deadline=None)
 @given(relation_cases())
 # e(x1,x1) on a 2-cycle with a loop: the rows of a repeated axis meet only on the diagonal
-@example((space(3, 2), frozenset({(0, 1), (1, 0), (2, 2)}), (0, 0)))
+@example((space(3, 2), ("a", "b", "c"), frozenset({("a", "b"), ("b", "a"), ("c", "c")}), (0, 0)))
+# r(y2,x1,y2) on one element: one cell, full or empty
+@example((space(1, 3), ("a",), frozenset({("a", "a", "a")}), (2, 0, 2)))
+@example((space(1, 2), ("a",), frozenset(), (1,)))
 def test_relation_table_matches_cell_by_cell(case):
-    spc, tuples, axes = case
+    spc, universe, tuples, axes = case
     expected = 0
     for values in itertools.product(range(spc.m), repeat=spc.var_count):
-        if tuple(values[axis] for axis in axes) in tuples:
+        if tuple(universe[values[axis]] for axis in axes) in tuples:
             expected |= 1 << spc.cell_index(values)
-    assert spc.relation_table(tuples, axes) == expected
+    assert spc.relation_table(tuples, axes, element_masks(spc, universe)) == expected
+
+
+def test_semantic_items_never_reads_relation_positions(monkeypatch):
+    """The scan builds its relation tables from element names."""
+
+    def refuse(self):
+        raise AssertionError("relation_positions was called")
+
+    monkeypatch.setattr(FiniteStructure, "relation_positions", refuse)
+    structure = FiniteStructure.build(
+        Signature.of(p=1, e=2, r=3),
+        ["b", "a"],
+        {"p": [("b",)], "e": [("a", "b")], "r": [("a", "a", "b"), ("b", "a", "b")]},
+    )
+    assert len(list(semantic_items(structure, ("x1",), ("y1", "y2"), 2))) > 0
