@@ -1,10 +1,12 @@
 """Automorphism groups and orbit partitions of finite structures.
 
-The search backtracks over partial position maps with relation-consistency
-pruning and returns the complete group in a deterministic order,
-lexicographic by image sequence.  The same search, stopped at its first
-automorphism with positions ``0..n-1`` confined to one n-subset, decides
-orbit membership for ``least_outside_orbit`` without enumerating the group.
+A group element is its image tuple: entry ``i`` is the position that
+position ``i`` maps to.  The search backtracks over partial position maps
+with relation-consistency pruning and returns the complete group as a list
+of these tuples in their own, lexicographic, order, so the identity comes
+first.  The same search, stopped at its first automorphism with positions
+``0..n-1`` confined to one n-subset, decides orbit membership for
+``least_outside_orbit`` without enumerating the group.
 
 The search checks forward only: mapping position ``pos`` completes the
 tuples whose largest position is ``pos``, and each of their images must lie
@@ -37,37 +39,6 @@ MAX_SIZE = 10
 
 class ResourceCapError(RuntimeError):
     """Universe larger than ``MAX_SIZE`` elements."""
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A universe permutation stored as an image sequence over positions."""
-
-    mapping: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if sorted(self.mapping) != list(range(len(self.mapping))):
-            raise ValueError(f"not a permutation: {self.mapping}")
-
-    def __call__(self, position: int) -> int:
-        return self.mapping[position]
-
-    def apply(self, tup: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(self.mapping[i] for i in tup)
-
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other."""
-        return Permutation(tuple(self.mapping[other.mapping[i]] for i in range(len(self.mapping))))
-
-    def inverse(self) -> "Permutation":
-        inverse = [0] * len(self.mapping)
-        for i, image in enumerate(self.mapping):
-            inverse[image] = i
-        return Permutation(tuple(inverse))
-
-    @classmethod
-    def identity(cls, size: int) -> "Permutation":
-        return cls(tuple(range(size)))
 
 
 def _keys(structure: FiniteStructure) -> list[tuple[int, ...]]:
@@ -103,14 +74,14 @@ def _search_plan(structure: FiniteStructure, keys: list[tuple[int, ...]]) -> tup
     return closing, [alike[key] for key in keys]
 
 
-def _search(closing: list, candidates: list[list[int]], first: bool) -> list[Permutation]:
+def _search(closing: list, candidates: list[list[int]], first: bool) -> list[tuple[int, ...]]:
     """The automorphisms that map each position to one of its candidates, in
     lexicographic order by image sequence; only the first of them when
     ``first`` is set."""
     size = len(candidates)
     image = [-1] * size
     used = [False] * size
-    found: list[Permutation] = []
+    found: list[tuple[int, ...]] = []
     image_at = image.__getitem__
 
     def consistent(pos: int) -> bool:
@@ -122,7 +93,7 @@ def _search(closing: list, candidates: list[list[int]], first: bool) -> list[Per
     def extend(pos: int) -> bool:
         """Map positions ``pos..`` and report whether the search stops."""
         if pos == size:
-            found.append(Permutation(tuple(image)))
+            found.append(tuple(image))
             return first
         for candidate in candidates[pos]:
             if used[candidate]:
@@ -138,8 +109,9 @@ def _search(closing: list, candidates: list[list[int]], first: bool) -> list[Per
     return found
 
 
-def automorphisms(structure: FiniteStructure) -> list[Permutation]:
-    """The complete automorphism group, identity first, deterministic order."""
+def automorphisms(structure: FiniteStructure) -> list[tuple[int, ...]]:
+    """The complete automorphism group as image tuples over positions, in
+    lexicographic order, so the identity ``tuple(range(size))`` first."""
     closing, candidates = _search_plan(structure, _keys(structure))
     return _search(closing, candidates, first=False)
 
@@ -181,6 +153,13 @@ def least_outside_orbit(structure: FiniteStructure, n: int) -> tuple[int, ...] |
     return None
 
 
+# each mode's carrier generator, in order, and the canonical form of a member
+_MODES = {
+    "subsets": (itertools.combinations, lambda member: tuple(sorted(member))),
+    "tuples": (itertools.permutations, tuple),
+}
+
+
 @dataclass(frozen=True)
 class OrbitPartition:
     """Orbit classes of the automorphism action on n-tuples or n-subsets.
@@ -196,7 +175,7 @@ class OrbitPartition:
     classes: tuple[tuple[tuple[int, ...], ...], ...]
 
     def class_of(self, member: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-        key = tuple(sorted(member)) if self.mode == "subsets" else tuple(member)
+        key = _MODES[self.mode][1](member)
         for cls in self.classes:
             if key in cls:
                 return cls
@@ -204,26 +183,19 @@ class OrbitPartition:
 
 
 def orbit_partition(structure: FiniteStructure, n: int, mode: str = "subsets") -> OrbitPartition:
-    if mode not in ("tuples", "subsets"):
+    if mode not in _MODES:
         raise ValueError(f"mode must be 'tuples' or 'subsets', got {mode!r}")
     size = structure.size()
     _check_n(n, size)
-    images = [g.mapping for g in automorphisms(structure)]
-    if mode == "tuples":
-        carrier = list(itertools.permutations(range(size), n))
-    else:
-        carrier = [tuple(c) for c in itertools.combinations(range(size), n)]
-    remaining = set(carrier)
+    members, key = _MODES[mode]
+    images = automorphisms(structure)
+    remaining = set(members(range(size), n))
     classes: list[tuple[tuple[int, ...], ...]] = []
-    for member in carrier:
-        if member not in remaining:
-            continue
-        if mode == "subsets":
-            orbit = {tuple(sorted([image[i] for i in member])) for image in images}
-        else:
-            orbit = {tuple([image[i] for i in member]) for image in images}
-        remaining -= orbit
-        classes.append(tuple(sorted(orbit)))
+    for member in members(range(size), n):
+        if member in remaining:
+            orbit = {key([image[i] for i in member]) for image in images}
+            remaining -= orbit
+            classes.append(tuple(sorted(orbit)))
     return OrbitPartition(n, mode, tuple(classes))
 
 

@@ -268,7 +268,7 @@ def _cmd_structure(args) -> CommandResult:
         return _result(args, 0, [text.rstrip("\n")], {"universe": list(structure.universe), "rendered": text})
     if args.action == "aut":
         group = autgroup.automorphisms(structure)
-        mappings = [[structure.universe[i] for i in g.mapping] for g in group]
+        mappings = [[structure.universe[i] for i in image] for image in group]
         lines = [f"{len(group)} automorphisms"] + [" ".join(m) for m in mappings]
         return _result(args, 0, lines, {"order": len(group), "automorphisms": mappings})
     partition = autgroup.orbit_partition(structure, args.n, mode=args.mode)
@@ -281,20 +281,6 @@ def _cmd_structure(args) -> CommandResult:
 # --- uniformity ---------------------------------------------------------------------
 
 
-def _verdict_payload(verdict: uniformity.UniformityVerdict) -> dict:
-    payload: dict = {"mode": verdict.mode, "uniform": verdict.uniform}
-    if verdict.depth is not None:
-        payload["depth"] = verdict.depth
-    ce = verdict.counterexample
-    if isinstance(ce, uniformity.SchemaCounterexample):
-        payload["counterexample"] = {
-            "formula": render_formula(ce.formula), "witness": list(ce.witness), "violating": list(ce.violating),
-        }
-    elif isinstance(ce, uniformity.OrbitCounterexample):
-        payload["counterexample"] = {"first": list(ce.first), "second": list(ce.second)}
-    return payload
-
-
 def _cmd_uniformity(args) -> CommandResult:
     structure = _load_structure(args.structure)
     verdicts = []
@@ -303,23 +289,29 @@ def _cmd_uniformity(args) -> CommandResult:
     if args.method in ("orbits", "both"):
         verdicts.append(uniformity.check_uniformity_orbits(structure, args.n))
     uniform = all(v.uniform for v in verdicts)
-    lines = []
+    lines, results = [], []
     for verdict in verdicts:
+        result: dict = {"mode": verdict.mode, "uniform": verdict.uniform}
+        if verdict.depth is not None:
+            result["depth"] = verdict.depth
+        ce = verdict.counterexample
         if verdict.uniform:
             lines.append(f"{verdict.mode}: uniform (n={args.n})")
+        elif isinstance(ce, uniformity.SchemaCounterexample):
+            formula = render_formula(ce.formula)
+            lines.append(
+                f"{verdict.mode}: counterexample {formula} "
+                f"holds at ({','.join(ce.witness)}), fails at ({','.join(ce.violating)})"
+            )
+            result["counterexample"] = {"formula": formula, "witness": list(ce.witness), "violating": list(ce.violating)}
         else:
-            ce = verdict.counterexample
-            if isinstance(ce, uniformity.SchemaCounterexample):
-                lines.append(
-                    f"{verdict.mode}: counterexample {render_formula(ce.formula)} "
-                    f"holds at ({','.join(ce.witness)}), fails at ({','.join(ce.violating)})"
-                )
-            else:
-                lines.append(
-                    f"{verdict.mode}: subsets ({','.join(ce.first)}) and ({','.join(ce.second)}) "
-                    "lie in different orbits"
-                )
-    payload = {"n": args.n, "uniform": uniform, "results": [_verdict_payload(v) for v in verdicts]}
+            lines.append(
+                f"{verdict.mode}: subsets ({','.join(ce.first)}) and ({','.join(ce.second)}) "
+                "lie in different orbits"
+            )
+            result["counterexample"] = {"first": list(ce.first), "second": list(ce.second)}
+        results.append(result)
+    payload = {"n": args.n, "uniform": uniform, "results": results}
     return _result(args, 0 if uniform else 1, lines, payload)
 
 

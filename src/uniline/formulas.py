@@ -333,15 +333,17 @@ class SemanticItem(NamedTuple):
 
 
 @lru_cache(maxsize=None)
-def _scan_plan(signature: Signature, xs: tuple[str, ...], pool: tuple[str, ...], size: int):
+def _scan_plan(signature: Signature, size: int, n: int, depth: int):
     """The part of a scan's set-up that does not read the structure: the
-    space, each relation atom with its relation index, its axes and the bit
-    mask of its pool variables, each equality atom with its table and mask,
-    and for each mask, its open set (the pool variables of its bits, in pool
-    order) and ``(var, axis, mask without var)`` for each of them.  The
-    equality tables number at most ``len(xs + pool)`` squared, no more than
-    the space's own axis masks, since ``n <= size``."""
-    variables = xs + pool
+    space of ``x1..xn`` and the pool ``y1..y{depth}``, each relation atom
+    with its relation index, its axes and the bit mask of its pool
+    variables, each equality atom with its table and mask, and for each
+    mask, its open set (the pool variables of its bits, in pool order) and
+    ``(var, axis, mask without var)`` for each of them.  The equality tables
+    number at most ``n + depth`` squared, no more than the space's own axis
+    masks, since ``n <= size``."""
+    pool = tuple(f"y{i}" for i in range(1, depth + 1))
+    variables = tuple(f"x{i}" for i in range(1, n + 1)) + pool
     axes = {v: i for i, v in enumerate(variables)}
     bits = {v: 1 << k for k, v in enumerate(pool)}
     spc = tables.space(size, len(variables))
@@ -359,13 +361,9 @@ def _scan_plan(signature: Signature, xs: tuple[str, ...], pool: tuple[str, ...],
     return spc, tuple(relation_atoms), tuple(equality_atoms), open_sets, binds
 
 
-def semantic_items(
-    structure: FiniteStructure,
-    xs: tuple[str, ...],
-    pool: tuple[str, ...],
-    max_depth: int,
-) -> Iterator[SemanticItem]:
-    """Stream of first-per-truth-table formulas within the depth bound.
+def semantic_items(structure: FiniteStructure, n: int, max_depth: int) -> Iterator[SemanticItem]:
+    """Stream of first-per-truth-table formulas within the depth bound, in
+    the free variables ``xs``, ``x1..xn``, and the pool ``y1..y{max_depth}``.
 
     Candidates at each layer combine previously kept representatives and
     quantify over the pool variables a table varies along, its open ones.
@@ -435,7 +433,7 @@ def semantic_items(
     less the bound one, that of ``~``'s operand, and a pair's union.
     """
     spc, relation_atoms, equality_atoms, open_sets, binds = _scan_plan(
-        structure.signature, xs, pool, structure.size()
+        structure.signature, structure.size(), n, max_depth
     )
     full = spc.full
 

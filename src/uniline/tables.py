@@ -65,6 +65,7 @@ class AssignmentSpace:
         return [repeater * (ones << (v * s)) for v in range(self.m)]
 
     def cell_index(self, values: tuple[int, ...]) -> int:
+        """The cell of ``values``, with 0 on every axis past them."""
         return sum(v * s for v, s in zip(values, self.strides))
 
     # -- primitive tables ---------------------------------------------------

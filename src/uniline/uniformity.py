@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
 
 from . import autgroup, tables
 from .formulas import Formula, semantic_items
@@ -69,12 +68,11 @@ def _check_depth(depth: int) -> None:
         raise ValueError(f"depth must be between 0 and {MAX_DEPTH}, got {depth}")
 
 
-def _arrangements(spc: tables.AssignmentSpace, positions: tuple[int, ...], depth: int) -> list[int]:
+def _arrangements(spc: tables.AssignmentSpace, positions: tuple[int, ...]) -> list[int]:
     """The cells that put an arrangement of ``positions`` on ``x1..xn``, with
     every pool variable at element 0 (a schema instance is constant along the
     pool axes)."""
-    pad = (0,) * depth
-    return [spc.cell_index(p + pad) for p in itertools.permutations(positions)]
+    return [spc.cell_index(p) for p in itertools.permutations(positions)]
 
 
 @lru_cache(maxsize=None)
@@ -84,7 +82,7 @@ def _subset_plan(size: int, n: int, depth: int):
     number at most the space's cells, like its cached masks."""
     spc = tables.space(size, n + depth)
     subsets = tuple(itertools.combinations(range(size), n))
-    arrangements = tuple(_arrangements(spc, subset, depth) for subset in subsets)
+    arrangements = tuple(_arrangements(spc, subset) for subset in subsets)
     bits = bytearray(spc.cells // 8 + 1)  # linear in the cells, where |= on an int is not
     for cells in arrangements:
         for c in cells:
@@ -117,9 +115,7 @@ def check_uniformity_schema(structure: FiniteStructure, n: int, depth: int) -> U
     autgroup._check_n(n, size)
     _check_depth(depth)
     subsets, arrangements, carrier = _subset_plan(size, n, depth)
-    xs = tuple(f"x{i}" for i in range(1, n + 1))
-    pool = tuple(f"y{i}" for i in range(1, depth + 1))
-    for formula, table, _, open_vars in semantic_items(structure, xs, pool, depth):
+    for formula, table, _, open_vars in semantic_items(structure, n, depth):
         if open_vars or (hit := table & carrier) == 0 or hit == carrier:
             continue  # not a schema instance, or it meets no subset or every one
         for subset, cells in zip(subsets, arrangements):
@@ -128,11 +124,10 @@ def check_uniformity_schema(structure: FiniteStructure, n: int, depth: int) -> U
                     break
             else:  # no arrangement of subset is met, and hit != 0, so some subset is
                 # hit holds the cells of the distinct tuples that satisfy the
-                # formula, with every pool variable at element 0
-                strides = [size**i for i in range(n)]
-                witness = next(
-                    t for t in itertools.permutations(range(size), n) if hit >> sum(map(mul, t, strides)) & 1
-                )
+                # formula, with every pool variable at element 0, where the
+                # cell of an n-tuple puts them
+                spc = tables.space(size, n + depth)
+                witness = next(t for t in itertools.permutations(range(size), n) if hit >> spc.cell_index(t) & 1)
                 counterexample = SchemaCounterexample(
                     formula,
                     autgroup.elements_of(structure, witness),
@@ -162,11 +157,9 @@ def distinguishing_formula(
     if set(first_pos) == set(second_pos):
         return None
     spc = tables.space(structure.size(), n + max_depth)
-    first_cells = _arrangements(spc, first_pos, max_depth)
-    second_cells = _arrangements(spc, second_pos, max_depth)
-    xs = tuple(f"x{i}" for i in range(1, n + 1))
-    pool = tuple(f"y{i}" for i in range(1, max_depth + 1))
-    for formula, table, _, open_vars in semantic_items(structure, xs, pool, max_depth):
+    first_cells = _arrangements(spc, first_pos)
+    second_cells = _arrangements(spc, second_pos)
+    for formula, table, _, open_vars in semantic_items(structure, n, max_depth):
         if open_vars:
             continue  # not a schema instance
         if any(table >> c & 1 for c in first_cells) and not any(table >> c & 1 for c in second_cells):

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterator
 
-from uniline.autgroup import Permutation
 from uniline.formulas import And, Atom, Equal, Exists, Forall, Formula, Implies, Not, Or, free_vars
 from uniline.structures import FiniteStructure, Signature
 
@@ -94,9 +93,9 @@ def _syntactic_items(
             yield formula, layer
 
 
-def brute_force_automorphisms(structure: FiniteStructure) -> list[Permutation]:
-    """All automorphisms by filtering every permutation of the universe,
-    lexicographic by image sequence; the relations are read element by
+def brute_force_automorphisms(structure: FiniteStructure) -> list[tuple[int, ...]]:
+    """All automorphisms, as image tuples, by filtering every permutation of
+    the universe, in lexicographic order; the relations are read element by
     element, not through ``relation_positions``."""
     relations = [
         frozenset(tuple(structure.position(e) for e in t) for t in tuples)
@@ -105,7 +104,7 @@ def brute_force_automorphisms(structure: FiniteStructure) -> list[Permutation]:
     found = []
     for mapping in itertools.permutations(range(structure.size())):
         if all(tuple(mapping[i] for i in t) in rel for rel in relations for t in rel):
-            found.append(Permutation(mapping))
+            found.append(mapping)
     return found
 
 

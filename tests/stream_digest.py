@@ -6,7 +6,7 @@ Run from the repository root:
 
 For each corpus structure (sizes 1-5 up to isomorphism, then the crafted
 cases), in corpus order, and for n = 1 and 2 (n at most the size), every
-item of ``semantic_items(structure, xs, pool, 2)`` adds one line
+item of ``semantic_items(structure, n, 2)`` adds one line
 ``render|table|depth|open_vars`` to one SHA-256.  The script prints the
 digest and exits 1 unless it is ``EXPECTED``, the digest of the stream
 before the scan took open sets from its operands and relation tables from
@@ -32,12 +32,10 @@ def stream_digest() -> tuple[str, int, int]:
     questions = items = 0
     structures = [s for size in range(1, MAX_SIZE + 1) for s in digraphs_up_to_iso(size)]
     structures += [s for _, s in crafted_structures()]
-    pool = tuple(f"y{i}" for i in range(1, DEPTH + 1))
     for structure in structures:
         for n in range(1, min(2, structure.size()) + 1):
             questions += 1
-            xs = tuple(f"x{i}" for i in range(1, n + 1))
-            for formula, table, depth, open_vars in semantic_items(structure, xs, pool, DEPTH):
+            for formula, table, depth, open_vars in semantic_items(structure, n, DEPTH):
                 items += 1
                 digest.update(f"{render_formula(formula)}|{table}|{depth}|{','.join(open_vars)}\n".encode())
     return digest.hexdigest(), questions, items

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from uniline.autgroup import Permutation, ResourceCapError, automorphisms, orbit_partition
+from uniline.autgroup import ResourceCapError, automorphisms, orbit_partition
 from uniline.structures import FiniteStructure, Signature
 from uniline.uniformity import check_uniformity_orbits
 
@@ -13,18 +13,18 @@ from oracles import brute_force_automorphisms
 
 
 def test_chain3_trivial_group(chain3):
-    assert automorphisms(chain3) == [Permutation((0, 1, 2))]
+    assert automorphisms(chain3) == [(0, 1, 2)]
 
 
 def test_empty3_full_symmetry(empty3):
     group = automorphisms(empty3)
     assert len(group) == 6
-    assert group == [Permutation(p) for p in itertools.permutations(range(3))]
+    assert group == list(itertools.permutations(range(3)))
 
 
 def test_cycle3_rotations(cycle3):
     group = automorphisms(cycle3)
-    assert [g.mapping for g in group] == [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+    assert group == [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
 
 
 def test_optimized_equals_brute_force(chain3, cycle3, empty4):
@@ -72,7 +72,7 @@ def test_mixed_arity_signatures_equal_brute_force():
         structure = random_mixed_structure(rng)
         group = automorphisms(structure)
         assert group == brute_force_automorphisms(structure)
-        assert group[0] == Permutation.identity(structure.size())
+        assert group[0] == tuple(range(structure.size()))
         nontrivial += len(group) > 1
     assert nontrivial >= 100
 
@@ -81,12 +81,41 @@ def test_group_axioms(cycle3, empty4):
     for structure in (cycle3, empty4):
         group = automorphisms(structure)
         members = set(group)
-        identity = Permutation.identity(structure.size())
-        assert identity in members
+        positions = range(structure.size())
+        assert tuple(positions) in members
         for g in group:
-            assert g.inverse() in members
+            assert tuple(sorted(positions, key=g.__getitem__)) in members  # g's inverse
             for h in group:
-                assert g.compose(h) in members
+                assert tuple(g[i] for i in h) in members  # g after h
+
+
+def test_orbit_partition_equals_brute_force_orbits():
+    # every n and both modes: each class is the orbit of its members under
+    # the brute-force group, and class_of finds it from each member, and in
+    # subsets mode from the member reversed
+    rng = random.Random(26)
+    for _ in range(150):
+        structure = random_mixed_structure(rng)
+        group = brute_force_automorphisms(structure)
+        size = structure.size()
+        for n in range(1, size + 1):
+            for mode, carrier in (
+                ("subsets", itertools.combinations(range(size), n)),
+                ("tuples", itertools.permutations(range(size), n)),
+            ):
+                orbits = set()
+                for member in carrier:
+                    images = {tuple(g[i] for i in member) for g in group}
+                    if mode == "subsets":
+                        images = {tuple(sorted(image)) for image in images}
+                    orbits.add(tuple(sorted(images)))
+                partition = orbit_partition(structure, n, mode=mode)
+                assert partition.classes == tuple(sorted(orbits))
+                for cls in partition.classes:
+                    for member in cls:
+                        assert partition.class_of(member) is cls
+                        if mode == "subsets":
+                            assert partition.class_of(member[::-1]) is cls
 
 
 def test_resource_cap():
@@ -122,7 +151,7 @@ def test_orbit_classes_closed_under_group(cycle3):
         members = set(cls)
         for member in cls:
             for g in group:
-                assert g.apply(member) in members
+                assert tuple(g[i] for i in member) in members
 
 
 def test_orbit_carrier_covered(empty4):

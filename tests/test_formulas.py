@@ -277,8 +277,7 @@ class TestEnumeration:
 
 def closed_representatives(structure, max_depth):
     """The kept formulas of the semantic stream whose free variable is x1 alone."""
-    pool = tuple(f"y{i}" for i in range(1, max_depth + 1))
-    for item in semantic_items(structure, ("x1",), pool, max_depth):
+    for item in semantic_items(structure, 1, max_depth):
         if free_vars(item.formula) == {"x1"}:
             yield item.formula
 
@@ -313,7 +312,7 @@ class TestSemanticDedup:
         assert brute == deduped
 
     def test_items_report_tables_consistently(self, chain2):
-        for item in semantic_items(chain2, ("x1",), ("y1", "y2"), 2):
+        for item in semantic_items(chain2, 1, 2):
             if item.open_vars or (free_vars(item.formula) - {"x1"}):
                 continue
             for i, element in enumerate(chain2.universe):
@@ -345,7 +344,7 @@ def test_semantic_stream_keeps_every_syntactic_table_of_layers_zero_and_one(stru
     variables = xs + pool
     spc = space(structure.size(), len(variables))
     kept = {}
-    for item in semantic_items(structure, xs, pool, max_depth):
+    for item in semantic_items(structure, 1, max_depth):
         kept.setdefault(item.table, item.depth)
     assignments = [
         (spc.cell_index(positions), dict(zip(variables, map(structure.universe.__getitem__, positions))))
@@ -369,7 +368,7 @@ def assert_admission_invariant(structure, max_depth):
     spc = space(structure.size(), 1 + max_depth)
     tables = set()
     last_depth = 0
-    for item in semantic_items(structure, xs, pool, max_depth):
+    for item in semantic_items(structure, 1, max_depth):
         varying = tuple(v for axis, v in enumerate(pool, 1) if not constant_along(spc, item.table, axis))
         assert item.open_vars == varying
         assert free_vars(item.formula) - set(xs) == set(item.open_vars)
@@ -410,9 +409,7 @@ def _stream_digest(cases) -> str:
     (read from the formula) and open set, one line each, in stream order."""
     digest = hashlib.sha256()
     for structure, n, max_depth in cases:
-        xs = tuple(f"x{i}" for i in range(1, n + 1))
-        pool = tuple(f"y{i}" for i in range(1, max_depth + 1))
-        for item in semantic_items(structure, xs, pool, max_depth):
+        for item in semantic_items(structure, n, max_depth):
             line = (
                 f"{render_formula(item.formula)}|{item.table}|{item.depth}|"
                 f"{','.join(sorted(free_vars(item.formula)))}|{','.join(item.open_vars)}\n"

@@ -173,7 +173,7 @@ def test_same_stream_as_the_unpruned_reference(question):
     structure, n, max_depth = question
     xs = tuple(f"x{i}" for i in range(1, n + 1))
     pool = tuple(f"y{i}" for i in range(1, max_depth + 1))
-    pruned = _rows(pruned_items(structure, xs, pool, max_depth))
+    pruned = _rows(pruned_items(structure, n, max_depth))
     unpruned = _rows(semantic_items(structure, xs, pool, max_depth))
     for new, old in itertools.zip_longest(pruned, unpruned):
         assert new == old

@@ -360,7 +360,7 @@ def partition_verdict(structure, n, group=None):
         classes = orbit_partition(structure, n, mode="subsets").classes
         outside = classes[1][0] if len(classes) > 1 else None
     else:
-        orbit = {tuple(sorted(g(i) for i in range(n))) for g in group}
+        orbit = {tuple(sorted(g[:n])) for g in group}
         subsets = itertools.combinations(range(structure.size()), n)
         outside = next((subset for subset in subsets if subset not in orbit), None)
     if outside is None:
