@@ -29,10 +29,9 @@ builds the search plan only when a search runs; the keys alone decide
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable
 from dataclasses import dataclass
 
-from .structures import FiniteStructure
+from .structures import FiniteStructure, _positions
 
 MAX_SIZE = 10
 
@@ -47,9 +46,9 @@ def _keys(structure: FiniteStructure) -> list[tuple[int, ...]]:
     size = structure.size()
     if size > MAX_SIZE:
         raise ResourceCapError(f"universe size {size} exceeds cap {MAX_SIZE}")
-    position = {element: i for i, element in enumerate(structure.universe)}
+    position = _positions(structure.universe)
     columns = []
-    for _, tuples in structure.interpretation:
+    for tuples in structure.interpretation:
         for column in zip(*tuples):
             counts = [0] * size
             for element in column:
@@ -197,7 +196,3 @@ def orbit_partition(structure: FiniteStructure, n: int, mode: str = "subsets") -
             remaining -= orbit
             classes.append(tuple(sorted(orbit)))
     return OrbitPartition(n, mode, tuple(classes))
-
-
-def elements_of(structure: FiniteStructure, positions: Iterable[int]) -> tuple[str, ...]:
-    return tuple(structure.universe[i] for i in positions)

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from . import autgroup, cuts, cyclic, fieldgen, ordline, uniformity
 from .formulas import render_formula
-from .structures import StructureError, parse_structure, render_structure, render_structure_json
+from .structures import StructureError, elements_of, parse_structure, render_structure, render_structure_json
 
 SCHEMA_VERSION = 1
 
@@ -272,7 +272,7 @@ def _cmd_structure(args) -> CommandResult:
         lines = [f"{len(group)} automorphisms"] + [" ".join(m) for m in mappings]
         return _result(args, 0, lines, {"order": len(group), "automorphisms": mappings})
     partition = autgroup.orbit_partition(structure, args.n, mode=args.mode)
-    classes = [[list(autgroup.elements_of(structure, member)) for member in cls] for cls in partition.classes]
+    classes = [[list(elements_of(structure, member)) for member in cls] for cls in partition.classes]
     lines = [f"{len(classes)} orbit classes (n={args.n}, {args.mode})"]
     lines += ["  " + " ".join("(" + ",".join(m) + ")" for m in cls) for cls in classes]
     return _result(args, 0, lines, {"n": args.n, "mode": args.mode, "classes": classes})

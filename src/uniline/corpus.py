@@ -85,7 +85,7 @@ def digraphs_up_to_iso(size: int) -> list[FiniteStructure]:
     structures = []
     for mask in _canonical_masks(size):
         tuples = frozenset(arc for k, arc in enumerate(arcs) if mask >> k & 1)
-        structures.append(FiniteStructure(_SIGNATURE, elements, ((RELATION, tuples),)))
+        structures.append(FiniteStructure(_SIGNATURE, elements, (tuples,)))
     return structures
 
 

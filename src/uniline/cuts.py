@@ -35,6 +35,10 @@ DOWNWARD = "downward"
 ALL = "all"
 EMPTY = "empty"
 
+# the largest denominator bound: the gap bracket's denominators reach its
+# square, and sq-lt:2 classifies in 0.09 s at 10^300 but 1.2 s at 10^1000
+MAX_BOUND = 10**300
+
 
 class CutError(ValueError):
     """Invalid oracle input (bad bounds or malformed arguments)."""
@@ -299,8 +303,8 @@ def classify_cut(oracle: CutOracle, denominator_bound: int) -> CutClass:
     cap leave the boundary strictly between two consecutive mediants with no
     representable rational in between: a gap.
     """
-    if denominator_bound < 1:
-        raise CutError("denominator bound must be >= 1")
+    if not 1 <= denominator_bound <= MAX_BOUND:
+        raise CutError("denominator bound must be between 1 and 10^300 (MAX_BOUND)")
     cap = _verify_cap(denominator_bound)
     probe = _Probe(oracle)
     lo, hi = oracle.lo, oracle.hi

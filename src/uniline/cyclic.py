@@ -10,7 +10,6 @@ linear order).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -51,17 +50,23 @@ def format_proj_point(point: ProjPoint) -> str:
     return format_rational(point)
 
 
+def _position(cut: ProjPoint, x: ProjPoint) -> tuple:
+    """The sort key of a point x other than ``cut`` in the order cut there:
+    the points above a finite cut, then infinity, then the points below it;
+    every finite point in increasing order when the cut is infinity."""
+    if is_infinite(x):
+        return (1, 0)
+    if is_infinite(cut) or x > cut:
+        return (0, x)
+    return (2, x)
+
+
 def cyclic_orient(p: ProjPoint, q: ProjPoint, r: ProjPoint) -> bool:
-    """Positive orientation of a triple of distinct projective points."""
-    if same_point(p, q) or same_point(q, r) or same_point(p, r):
+    """Positive orientation of a triple of distinct projective points: q
+    comes before r in the order cut at p."""
+    if p == q or q == r or p == r:  # a Fraction never equals INFINITY
         raise ValueError("cyclic orientation requires pairwise-distinct points")
-    if is_infinite(r):
-        return p < q
-    if is_infinite(q):
-        return r < p  # rotate to (r, p, inf)
-    if is_infinite(p):
-        return q < r  # rotate to (q, r, inf)
-    return (p < q < r) or (q < r < p) or (r < p < q)
+    return _position(p, q) < _position(p, r)
 
 
 @dataclass(frozen=True)
@@ -72,22 +77,15 @@ class LinearizedOrder:
     cut: ProjPoint
 
     def precedes(self, x: ProjPoint, y: ProjPoint) -> bool:
-        for point in (x, y):
-            if same_point(point, self.cut):
-                raise ValueError("cannot compare the cut point with itself")
-        if same_point(x, y):
-            return False
-        return cyclic_orient(self.cut, x, y)
+        if x == self.cut or y == self.cut:
+            raise ValueError("cannot compare the cut point with itself")
+        return _position(self.cut, x) < _position(self.cut, y)
 
     def sort(self, points: list[ProjPoint]) -> list[ProjPoint]:
-        # sorted() is stable and asks only whether x < y, that is precedes(x, y)
-        return sorted(points, key=functools.cmp_to_key(lambda x, y: -1 if self.precedes(x, y) else 0))
-
-
-def same_point(a: ProjPoint, b: ProjPoint) -> bool:
-    if is_infinite(a) or is_infinite(b):
-        return is_infinite(a) and is_infinite(b)
-    return a == b
+        """The points in this order; equal points keep their input order."""
+        if self.cut in points:
+            raise ValueError("cannot compare the cut point with itself")
+        return sorted(points, key=lambda x: _position(self.cut, x))
 
 
 def linearize_at(cut: ProjPoint) -> LinearizedOrder:

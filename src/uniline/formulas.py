@@ -453,7 +453,7 @@ def semantic_items(structure: FiniteStructure, n: int, max_depth: int) -> Iterat
     interpretation = structure.interpretation
     by_element = tables.element_masks(spc, structure.universe)
     for atom, rel, args, mask in relation_atoms:
-        if (table := spc.relation_table(interpretation[rel][1], args, by_element)) not in seen:
+        if (table := spc.relation_table(interpretation[rel], args, by_element)) not in seen:
             yield keep(atom, table, mask)
     for atom, table, mask in equality_atoms:
         if table not in seen:

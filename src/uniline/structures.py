@@ -63,19 +63,20 @@ class Signature:
 
 
 @functools.lru_cache(maxsize=64)
-def _universe_elements(universe: tuple[str, ...]) -> frozenset[str]:
-    """The elements of a valid universe.  Cached, because the corpus builds
-    thousands of structures over one universe tuple per size."""
+def _positions(universe: tuple[str, ...]) -> dict[str, int]:
+    """Each element's position in a valid universe.  Cached, because the
+    corpus builds thousands of structures over one universe tuple per size;
+    callers only read the map."""
     if not universe:
         raise StructureError("universe must be non-empty")
-    seen: set[str] = set()
-    for element in universe:
+    positions: dict[str, int] = {}
+    for i, element in enumerate(universe):
         if not _IDENT_RE.match(element):
             raise StructureError(f"invalid element identifier {element!r}")
-        if element in seen:
+        if element in positions:
             raise StructureError(f"duplicate universe element {element!r}")
-        seen.add(element)
-    return frozenset(seen)
+        positions[element] = i
+    return positions
 
 
 @dataclass(frozen=True)
@@ -84,26 +85,25 @@ class FiniteStructure:
 
     ``universe`` keeps declaration order; that order is the canonical
     enumeration order used by every deterministic search downstream.
-    ``interpretation`` holds one ``(name, tuples)`` entry per relation, in
-    signature order.
+    ``interpretation[i]`` is the frozenset of element tuples of the relation
+    ``signature.relations[i]``; the names live in the signature alone.
     """
 
     signature: Signature
     universe: tuple[str, ...]
-    interpretation: tuple[tuple[str, frozenset[tuple[str, ...]]], ...]
+    interpretation: tuple[frozenset[tuple[str, ...]], ...]
 
     def __post_init__(self) -> None:
-        elements = _universe_elements(self.universe)
-        names = [name for name, _ in self.interpretation]
-        if names != list(self.signature.names()):
-            raise StructureError("interpretation must list every signature relation once, in order")
+        positions = _positions(self.universe)
+        if len(self.interpretation) != len(self.signature.relations):
+            raise StructureError("interpretation must hold one tuple set per signature relation")
         # the least offender is named, so that the error does not depend on
         # the iteration order of a frozenset
-        for (name, tuples), (_, arity) in zip(self.interpretation, self.signature.relations):
+        for tuples, (name, arity) in zip(self.interpretation, self.signature.relations):
             if not set(map(len, tuples)) <= {arity}:
                 tup = min(t for t in tuples if len(t) != arity)
                 raise StructureError(f"arity mismatch: relation {name!r} expects {arity}, got tuple {tup}")
-            unknown = set(itertools.chain.from_iterable(tuples)) - elements
+            unknown = set(itertools.chain.from_iterable(tuples)).difference(positions)
             if unknown:
                 raise StructureError(f"tuple for {name!r} references unknown element {min(unknown)!r}")
 
@@ -119,14 +119,11 @@ class FiniteStructure:
         for name in relations:
             if name not in signature:
                 raise StructureError(f"unknown relation {name!r}")
-        interpretation = tuple(
-            (name, frozenset(tuple(t) for t in relations.get(name, ())))
-            for name in signature.names()
-        )
+        interpretation = tuple(frozenset(tuple(t) for t in relations.get(name, ())) for name in signature.names())
         return cls(signature, tuple(universe), interpretation)
 
     def tuples(self, name: str) -> frozenset[tuple[str, ...]]:
-        for rel, tuples in self.interpretation:
+        for (rel, _), tuples in zip(self.signature.relations, self.interpretation):
             if rel == name:
                 return tuples
         raise KeyError(name)
@@ -136,16 +133,20 @@ class FiniteStructure:
 
     def relation_positions(self) -> list[frozenset[tuple[int, ...]]]:
         """Each relation's tuples as tuples of universe positions, in signature order."""
-        position = {element: i for i, element in enumerate(self.universe)}.__getitem__
-        return [frozenset([tuple(map(position, t)) for t in tuples]) for _, tuples in self.interpretation]
+        position = _positions(self.universe).__getitem__
+        return [frozenset([tuple(map(position, t)) for t in tuples]) for tuples in self.interpretation]
 
     def size(self) -> int:
         return len(self.universe)
 
 
+def elements_of(structure: FiniteStructure, positions: Iterable[int]) -> tuple[str, ...]:
+    return tuple(structure.universe[i] for i in positions)
+
+
 def _canonical_tuples(structure: FiniteStructure, name: str) -> list[tuple[str, ...]]:
-    order = {element: i for i, element in enumerate(structure.universe)}
-    return sorted(structure.tuples(name), key=lambda t: tuple(order[e] for e in t))
+    position = _positions(structure.universe).__getitem__
+    return sorted(structure.tuples(name), key=lambda t: tuple(map(position, t)))
 
 
 def render_structure(structure: FiniteStructure) -> str:

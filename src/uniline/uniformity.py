@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from . import autgroup, tables
 from .formulas import Formula, semantic_items
-from .structures import FiniteStructure
+from .structures import FiniteStructure, elements_of
 
 # The deepest scan allowed.  Depth 4 is the measured horizon: criterion 1
 # scans the 2x3 biclique at depth 4 in 0.05-0.09 s, while the depth-5 stream
@@ -97,9 +97,9 @@ def check_uniformity_orbits(structure: FiniteStructure, n: int) -> UniformityVer
     second = autgroup.least_outside_orbit(structure, n)
     if second is None:
         return UniformityVerdict("orbits", n, True)
-    first = autgroup.elements_of(structure, range(n))
+    first = elements_of(structure, range(n))
     return UniformityVerdict(
-        "orbits", n, False, OrbitCounterexample(first, autgroup.elements_of(structure, second))
+        "orbits", n, False, OrbitCounterexample(first, elements_of(structure, second))
     )
 
 
@@ -130,8 +130,8 @@ def check_uniformity_schema(structure: FiniteStructure, n: int, depth: int) -> U
                 witness = next(t for t in itertools.permutations(range(size), n) if hit >> spc.cell_index(t) & 1)
                 counterexample = SchemaCounterexample(
                     formula,
-                    autgroup.elements_of(structure, witness),
-                    autgroup.elements_of(structure, subset),
+                    elements_of(structure, witness),
+                    elements_of(structure, subset),
                 )
                 return UniformityVerdict("schema", n, False, counterexample, depth)
     return UniformityVerdict("schema", n, True, None, depth)

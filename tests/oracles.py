@@ -99,7 +99,7 @@ def brute_force_automorphisms(structure: FiniteStructure) -> list[tuple[int, ...
     element, not through ``relation_positions``."""
     relations = [
         frozenset(tuple(structure.position(e) for e in t) for t in tuples)
-        for _, tuples in structure.interpretation
+        for tuples in structure.interpretation
     ]
     found = []
     for mapping in itertools.permutations(range(structure.size())):

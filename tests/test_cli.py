@@ -577,6 +577,23 @@ class TestExitContract:
         assert records[0]["error"] == "window must be <= 10000"
 
     @pytest.mark.parametrize(
+        "cut, points", [("1", "1"), ("1", "1,2"), ("1", "2,1"), ("inf", "inf"), ("inf", "0,inf")]
+    )
+    def test_cut_point_among_points_is_bad_input(self, cut, points):
+        result = run(["cyclic", "linearize", "--cut", cut, "--points", points])
+        assert_error_exit(result, "cyclic linearize", "cannot compare the cut point with itself")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["cuts", "classify", "--oracle", "sq-lt", "--target", "2"], ["cuts", "probe", "--cut", "sq-lt:2"]],
+        ids=["classify", "probe"],
+    )
+    def test_cut_bound_above_limit_is_bad_input(self, argv):
+        result = run(argv + ["--bound", str(10**300 + 1)])
+        error = "denominator bound must be between 1 and 10^300 (MAX_BOUND)"
+        assert_error_exit(result, " ".join(argv[:2]), error)
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["field", "verify", "--zero", "0", "--one", "1"], "sample_count must be >= 1"),

@@ -15,6 +15,7 @@ from uniline.cuts import (
     DOWNWARD,
     EMPTY,
     GAP,
+    MAX_BOUND,
     PRINCIPAL,
     UPWARD,
     CutError,
@@ -260,6 +261,15 @@ class TestClassify:
     def test_bound_validation(self):
         with pytest.raises(CutError):
             classify_cut(oracle_lt(Fraction(1)), 0)
+
+    def test_bound_above_limit_rejected_before_any_query(self):
+        assert classify_cut(oracle_sq_lt(Fraction(2)), MAX_BOUND).kind == GAP
+        oracle, asked = recorded(oracle_sq_lt(Fraction(2)))
+        with pytest.raises(CutError, match="between 1 and 10"):
+            classify_cut(oracle, MAX_BOUND + 1)
+        with pytest.raises(CutError, match="between 1 and 10"):
+            connectivity_probe([oracle, oracle_lt(Fraction(1, 3))], MAX_BOUND + 1)
+        assert asked == []
 
     @given(st.fractions(min_value=-50, max_value=50, max_denominator=100))
     def test_principal_for_all_small_rationals(self, boundary):

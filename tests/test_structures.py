@@ -123,6 +123,34 @@ def test_build_rejects_unknown_relation():
         FiniteStructure.build(Signature.of(e=2), ["a"], {"f": []})
 
 
+@pytest.mark.parametrize("count", [0, 1, 3])
+def test_tuple_set_count_must_match_signature(count):
+    with pytest.raises(StructureError, match="one tuple set per signature relation"):
+        FiniteStructure(Signature.of(p=1, e=2), ("a",), (frozenset(),) * count)
+
+
+def test_tuples_of_unknown_name_is_key_error(chain3):
+    with pytest.raises(KeyError):
+        chain3.tuples("nope")
+
+
+@given(st.data())
+def test_build_keeps_each_relation_at_its_signature_index(data):
+    relations = data.draw(st.permutations([("p", 1), ("e", 2), ("t", 3)]))[: data.draw(st.integers(2, 3))]
+    universe = ["a", "b", "c"][: data.draw(st.integers(1, 3))]
+    element = st.sampled_from(universe)
+    sets = {
+        name: data.draw(st.frozensets(st.tuples(*[element] * arity), max_size=4)) for name, arity in relations
+    }
+    # the mapping lists the relations in the reverse of signature order
+    structure = FiniteStructure.build(Signature(tuple(relations)), universe, dict(reversed(sets.items())))
+    assert structure.interpretation == tuple(sets.values())
+    for name, tuples in sets.items():
+        assert structure.tuples(name) == tuples
+    assert parse_structure(render_structure(structure)) == structure
+    assert parse_structure(render_structure_json(structure)) == structure
+
+
 def test_comments_and_blank_lines_ignored(chain3):
     noisy = "# header\n\n" + CHAIN3_TEXT.replace("universe", "# mid\nuniverse")
     assert parse_structure(noisy) == chain3

@@ -7,7 +7,7 @@ import tracemalloc
 import pytest
 
 from uniline import autgroup
-from uniline.autgroup import ResourceCapError, elements_of, orbit_partition
+from uniline.autgroup import ResourceCapError, orbit_partition
 from uniline.corpus import (
     antichain,
     beyond_depth_three,
@@ -25,7 +25,7 @@ from uniline.formulas import (
     parse_formula,
     render_formula,
 )
-from uniline.structures import FiniteStructure, Signature
+from uniline.structures import FiniteStructure, Signature, elements_of
 from uniline.uniformity import (
     MAX_DEPTH,
     OrbitCounterexample,
@@ -302,8 +302,8 @@ class TestOrbits:
 
         def key_multiset(structure, subset):
             fills = {element: [] for element in structure.universe}
-            for name, tuples in structure.interpretation:
-                for t in tuples:
+            for name in structure.signature.names():
+                for t in structure.tuples(name):
                     for k, element in enumerate(t):
                         fills[element].append((name, k))
             return sorted(sorted(fills[element]) for element in elements_of(structure, subset))
