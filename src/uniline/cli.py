@@ -405,7 +405,10 @@ def _field_value(text: str, loc: fieldgen.Localization) -> Fraction:
                 if take() != ")":
                     raise ValueError("unbalanced parentheses")
         else:
-            value = Fraction(token)
+            try:
+                value = Fraction(token)
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"invalid operand {token!r} in expression {text!r}") from None
         while tokens and tokens[-1] in _ARITHMETIC and _ARITHMETIC[tokens[-1]][0] >= least:
             power, law = _ARITHMETIC[tokens.pop()]
             value = law(loc, value, climb(power + 1, nesting))
@@ -534,8 +537,7 @@ def _cmd_cuts(args) -> CommandResult:
             f"X^< = {report.lower}; X^(<>) = {report.lower_upper}; X^(<><) = {report.lower_upper_lower}",
             "idempotence: " + ("pass" if report.passed() else "FAIL"),
         ]
-        rays = ("upper", "upper_lower", "upper_lower_upper", "lower", "lower_upper", "lower_upper_lower")
-        payload = {name: _ray_payload(getattr(report, name)) for name in rays} | {"passed": report.passed()}
+        payload = {name: _ray_payload(ray) for name, ray in vars(report).items()} | {"passed": report.passed()}
         return _result(args, 0 if report.passed() else 1, lines, payload)
     if args.action == "classify":
         oracle = _oracle_from_spec(args.oracle, args.target)

@@ -3,6 +3,9 @@
 ``upper_set``/``lower_set`` send a finite set of rationals to the ray of
 elements strictly above/below all of it; applying the operators three times
 collapses to one application, which is checked symbolically on rays.
+Negation, x -> -x, reverses the order of the line, so it turns each operator
+into the other: X^< = -((-X)^>).  Only the upward half of the ray algebra is
+written out; ``_mirror`` reads the downward half off it.
 
 ``classify_cut`` takes a membership oracle for a downward-closed set and
 descends the Stern-Brocot tree toward the cut boundary.  Mediant endpoints
@@ -60,39 +63,27 @@ class Ray:
         if self.kind in (UPWARD, DOWNWARD):
             if self.endpoint is None:
                 raise ValueError(f"{self.kind} ray requires an endpoint")
-            object.__setattr__(self, "endpoint", Fraction(self.endpoint))
+            if type(self.endpoint) is not Fraction:
+                object.__setattr__(self, "endpoint", Fraction(self.endpoint))
         elif self.endpoint is not None:
             raise ValueError(f"{self.kind} ray admits no endpoint")
 
     def __contains__(self, x: Fraction) -> bool:
-        if self.kind == ALL:
-            return True
-        if self.kind == EMPTY:
-            return False
-        assert self.endpoint is not None
         if self.kind == UPWARD:
             return x >= self.endpoint if self.closed else x > self.endpoint
-        return x <= self.endpoint if self.closed else x < self.endpoint
+        if self.kind == DOWNWARD:
+            return -x in _mirror(self)
+        return self.kind == ALL
 
     def is_subset(self, other: "Ray") -> bool:
         if self.kind == EMPTY or other.kind == ALL:
             return True
-        if other.kind == EMPTY:
-            return self.kind == EMPTY
-        if self.kind == ALL:
-            return False
         if self.kind != other.kind:
             return False
-        assert self.endpoint is not None and other.endpoint is not None
-        if self.closed and not other.closed:
-            return (
-                self.endpoint > other.endpoint
-                if self.kind == UPWARD
-                else self.endpoint < other.endpoint
-            )
-        if self.kind == UPWARD:
-            return self.endpoint >= other.endpoint
-        return self.endpoint <= other.endpoint
+        if self.kind == DOWNWARD:
+            return _mirror(self).is_subset(_mirror(other))
+        e, f = self.endpoint, other.endpoint
+        return e > f or e == f and (other.closed or not self.closed)
 
     def __str__(self) -> str:
         if self.kind == ALL:
@@ -105,6 +96,13 @@ class Ray:
         return f"(-inf, {endpoint}" + ("]" if self.closed else ")")
 
 
+def _mirror(ray: Ray) -> Ray:
+    """The image of ``ray`` under x -> -x; ``ALL`` and ``EMPTY`` are fixed."""
+    if ray.kind in (ALL, EMPTY):
+        return ray
+    return Ray(DOWNWARD if ray.kind == UPWARD else UPWARD, -ray.endpoint, ray.closed)
+
+
 def upper_set(points: Iterable[Fraction]) -> Ray:
     """Elements strictly greater than every point; all of the line if empty."""
     points = list(points)
@@ -114,28 +112,18 @@ def upper_set(points: Iterable[Fraction]) -> Ray:
 
 
 def lower_set(points: Iterable[Fraction]) -> Ray:
-    points = list(points)
-    if not points:
-        return Ray(ALL)
-    return Ray(DOWNWARD, min(points), closed=False)
+    return _mirror(upper_set(-p for p in points))
 
 
 def ray_upper(ray: Ray) -> Ray:
     """Elements strictly greater than every element of the ray."""
-    if ray.kind == EMPTY:
-        return Ray(ALL)
-    if ray.kind in (ALL, UPWARD):
-        return Ray(EMPTY)
-    # downward ray: bounded above by its endpoint
-    return Ray(UPWARD, ray.endpoint, closed=not ray.closed)
+    if ray.kind == DOWNWARD:
+        return Ray(UPWARD, ray.endpoint, closed=not ray.closed)
+    return Ray(ALL if ray.kind == EMPTY else EMPTY)
 
 
 def ray_lower(ray: Ray) -> Ray:
-    if ray.kind == EMPTY:
-        return Ray(ALL)
-    if ray.kind in (ALL, DOWNWARD):
-        return Ray(EMPTY)
-    return Ray(DOWNWARD, ray.endpoint, closed=not ray.closed)
+    return _mirror(ray_upper(_mirror(ray)))
 
 
 @dataclass(frozen=True)
@@ -156,16 +144,9 @@ def galois_closure_check(points: Iterable[Fraction]) -> GaloisReport:
     points = list(points)
     if not points:
         raise CutError("galois closure check requires a non-empty set")
-    upper = upper_set(points)
-    lower = lower_set(points)
-    return GaloisReport(
-        upper,
-        ray_lower(upper),
-        ray_upper(ray_lower(upper)),
-        lower,
-        ray_upper(lower),
-        ray_lower(ray_upper(lower)),
-    )
+    upper, lower = upper_set(points), lower_set(points)
+    upper_lower, lower_upper = ray_lower(upper), ray_upper(lower)
+    return GaloisReport(upper, upper_lower, ray_upper(upper_lower), lower, lower_upper, ray_lower(lower_upper))
 
 
 # --- cut oracles and classification ------------------------------------------------
@@ -282,16 +263,6 @@ class _Probe:
         return answer
 
 
-def _value(pair: tuple[int, int]) -> Fraction:
-    return Fraction(pair[0], pair[1])
-
-
-def _verify_cap(bound: int) -> int:
-    # probe denominators well past the reporting bound, so a boundary hiding
-    # just beyond a candidate endpoint still produces a visible flip
-    return max(bound * bound, 10_000)
-
-
 def classify_cut(oracle: CutOracle, denominator_bound: int) -> CutClass:
     """Pin the cut boundary to a rational within the bound, or bracket it.
 
@@ -305,7 +276,9 @@ def classify_cut(oracle: CutOracle, denominator_bound: int) -> CutClass:
     """
     if not 1 <= denominator_bound <= MAX_BOUND:
         raise CutError("denominator bound must be between 1 and 10^300 (MAX_BOUND)")
-    cap = _verify_cap(denominator_bound)
+    # probe denominators well past the reporting bound, so a boundary hiding
+    # just beyond a candidate endpoint still produces a visible flip
+    cap = max(denominator_bound * denominator_bound, 10_000)
     probe = _Probe(oracle)
     lo, hi = oracle.lo, oracle.hi
     if not probe(lo.numerator, lo.denominator):
@@ -328,13 +301,13 @@ def classify_cut(oracle: CutOracle, denominator_bound: int) -> CutClass:
             near = (near[0] + (k - 1) * far[0], near[1] + (k - 1) * far[1])
             far = (near[0] + far[0], near[1] + far[1])
         elif far[1] <= denominator_bound:
-            return CutClass(PRINCIPAL, denominator_bound, point=_value(far))
+            return CutClass(PRINCIPAL, denominator_bound, point=Fraction(*far))
         else:
             near = (near[0] + k * far[0], near[1] + k * far[1])
         low, high = (near, far) if member else (far, near)
         if outcome == "all":
             break
-    return CutClass(GAP, denominator_bound, bracket=(_value(low), _value(high)))
+    return CutClass(GAP, denominator_bound, bracket=(Fraction(*low), Fraction(*high)))
 
 
 def _run(
@@ -399,16 +372,8 @@ def connectivity_probe(oracles: Iterable[CutOracle], denominator_bound: int) -> 
     All-principal families are evidence of connectedness relative to the
     family and the bound only, never a proof.
     """
-    oracles = list(oracles)
-    if not oracles:
+    results = tuple((oracle.name, classify_cut(oracle, denominator_bound)) for oracle in oracles)
+    if not results:
         raise CutError("connectivity probe requires at least one oracle")
-    results = []
-    witness = None
-    for oracle in oracles:
-        verdict = classify_cut(oracle, denominator_bound)
-        results.append((oracle.name, verdict))
-        if verdict.kind == GAP and witness is None:
-            witness = oracle.name
-    if witness is not None:
-        return ProbeReport(DISCONNECTED, tuple(results), witness)
-    return ProbeReport(CONNECTED_EVIDENCE, tuple(results))
+    witness = next((name for name, verdict in results if verdict.kind == GAP), None)
+    return ProbeReport(CONNECTED_EVIDENCE if witness is None else DISCONNECTED, results, witness)

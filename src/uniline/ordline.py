@@ -128,8 +128,8 @@ class Interval:
 
 _AFFINE_RE = re.compile(
     r"""^\s*
-    (?:(?P<slope>[+-]?\d+(?:/\d+)?)\s*\*\s*x | (?P<sign>[+-]?)\s*x)
-    \s*(?:(?P<op>[+-])\s*(?P<offset>\d+(?:/\d+)?))?
+    (?:(?P<slope>[+-]?\d+(?:/0*[1-9]\d*)?)\s*\*\s*x | (?P<sign>[+-]?)\s*x)
+    \s*(?:(?P<op>[+-])\s*(?P<offset>\d+(?:/0*[1-9]\d*)?))?
     \s*$""",
     re.VERBOSE,
 )

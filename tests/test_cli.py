@@ -264,6 +264,9 @@ class TestCommands:
             ("((2)", "unexpected end of expression"),
             ("1 + 2)", "trailing input at ')'"),
             ("1 + x", "invalid expression '1 + x'"),
+            ("1/0", "invalid operand '1/0' in expression '1/0'"),
+            ("()", "invalid operand ')' in expression '()'"),
+            ("1 + * 2", "invalid operand '*' in expression '1 + * 2'"),
         ],
     )
     def test_field_eval_errors_exit_two(self, expr, error):
@@ -367,6 +370,10 @@ class TestCommands:
         )
         assert code == 0
         assert records[0]["classes"] == [[["a"]], [["b"]], [["c"]]]
+
+    @pytest.mark.parametrize("affine", ["1/0*x", "x+1/0"])
+    def test_line_classify_zero_denominator_exits_two(self, affine):
+        assert_error_exit(run(["line", "classify", "--map", affine]), "line classify", f"invalid affine map {affine!r}")
 
     def test_line_classify(self):
         code, records = machine(["line", "classify", "--map", "x - 2"])

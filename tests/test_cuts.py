@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -48,6 +49,36 @@ oracle_cases = st.one_of(
     st.tuples(st.sampled_from(["lt", "le"]), targets),
     st.tuples(st.just("sq-lt"), targets.map(abs).filter(lambda t: t > 0)),
 )
+
+
+# membership of each kind of ray, written out from its definition
+DEFINITIONS = {
+    (UPWARD, False): lambda x, e: x > e,
+    (UPWARD, True): lambda x, e: x >= e,
+    (DOWNWARD, False): lambda x, e: x < e,
+    (DOWNWARD, True): lambda x, e: x <= e,
+    (ALL, False): lambda x, e: True,
+    (EMPTY, False): lambda x, e: False,
+}
+# few endpoints, so that two drawn rays often share one
+rays_of_every_kind = st.one_of(
+    st.builds(Ray, st.sampled_from([UPWARD, DOWNWARD]), st.fractions(-3, 3, max_denominator=2), st.booleans()),
+    st.sampled_from([Ray(ALL), Ray(EMPTY)]),
+)
+
+
+def defined(ray: Ray, x: Fraction) -> bool:
+    return DEFINITIONS[ray.kind, ray.closed](x, ray.endpoint)
+
+
+def critical_points(*rays: Ray) -> list[Fraction]:
+    """Each endpoint, a point between and beyond them, and 0.  A ray's
+    membership changes only at its endpoint, so one of these rays contains
+    another exactly when it does at these points."""
+    ends = [ray.endpoint for ray in rays if ray.endpoint is not None]
+    if not ends:
+        return [Fraction(0)]
+    return [*ends, (min(ends) + max(ends)) / 2, min(ends) - 1, max(ends) + 1, Fraction(0)]
 
 
 def recorded(oracle: CutOracle) -> tuple[CutOracle, list[Fraction]]:
@@ -99,6 +130,20 @@ class TestRays:
             Ray(UPWARD, Fraction(1), closed=False)
         )
 
+    @given(rays_of_every_kind, rays_of_every_kind)
+    def test_membership_and_inclusion_by_definition(self, ray, other):
+        """Against every ray of each kind and closedness with an endpoint at,
+        just below or just above ``ray``'s, and against ``other``."""
+        e = Fraction(0) if ray.endpoint is None else ray.endpoint
+        partners = [Ray(kind, e + d, closed)
+                    for kind in (UPWARD, DOWNWARD) for d in (-1, 0, 1) for closed in (False, True)]
+        for partner in (other, Ray(ALL), Ray(EMPTY), *partners):
+            points = critical_points(ray, partner)
+            for r in (ray, partner):
+                assert [x in r for x in points] == [defined(r, x) for x in points], (r, points)
+            for a, b in ((ray, partner), (partner, ray)):
+                assert a.is_subset(b) == all(defined(b, x) for x in points if defined(a, x)), (a, b)
+
 
 class TestGalois:
     def test_worked_example(self):
@@ -119,6 +164,11 @@ class TestGalois:
     def test_idempotence_property(self, points):
         assert galois_closure_check(points).passed()
 
+    @given(finite_sets)
+    def test_rays_of_a_finite_set(self, points):
+        assert upper_set(points) == Ray(UPWARD, max(points))
+        assert lower_set(points) == Ray(DOWNWARD, min(points))
+
     @given(finite_sets, finite_sets)
     def test_antitone(self, smaller, extra):
         bigger = smaller + extra
@@ -136,6 +186,10 @@ class TestGalois:
         assert ray_lower(Ray(UPWARD, Fraction(1), closed=False)) == Ray(
             DOWNWARD, Fraction(1), closed=True
         )
+        assert ray_lower(Ray(EMPTY)) == Ray(ALL)
+        assert ray_lower(Ray(ALL)) == Ray(EMPTY)
+        assert ray_lower(Ray(DOWNWARD, Fraction(1))) == Ray(EMPTY)
+        assert ray_lower(Ray(UPWARD, Fraction(-3, 2), closed=True)) == Ray(DOWNWARD, Fraction(-3, 2))
 
 
 class TestClassify:
@@ -250,6 +304,20 @@ class TestClassify:
             oracle, asked = recorded(oracle)
             classify_cut(oracle, bound)
             assert len(asked) == len(set(asked)), asked
+
+    def test_queries_and_verdicts_pinned(self):
+        """Every point each built-in oracle is asked, in order, and its verdict,
+        over a grid of targets and bounds: one digest, so that a change to the
+        descent that moves a single query shows."""
+        grid = [Fraction(n, d) for n in range(-30, 31) for d in range(1, 6)]
+        cases = [(oracle_lt, t) for t in grid] + [(oracle_le, t) for t in grid] + [(oracle_sq_lt, t + 31) for t in grid]
+        digest = hashlib.sha256()
+        for constructor, target in cases:
+            for bound in (1, 10, 10**3, 10**6):
+                oracle, asked = recorded(constructor(target))
+                verdict = classify_cut(oracle, bound)
+                digest.update(f"{oracle.name}|{bound}|{' '.join(map(str, asked))}|{verdict}\n".encode())
+        assert digest.hexdigest() == "1d5b04aa630cdc77e350c2d7f69040de2bdecbfcc27b6f3caec7d29c05a9d03a"
 
     def test_bad_bounds_detected(self):
         with pytest.raises(CutError):

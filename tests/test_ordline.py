@@ -85,9 +85,10 @@ class TestAffineAlgebra:
             )
 
     def test_parse_rejects_garbage(self):
-        for bad in ("", "y + 1", "x + x", "2*", "1"):
-            with pytest.raises(ValueError):
+        for bad in ("", "y + 1", "x + x", "2*", "1", "1/0*x", "x+1/0", "-3/00*x - 1"):
+            with pytest.raises(ValueError) as raised:
                 parse_affine(bad)
+            assert str(raised.value) == f"invalid affine map {bad!r}"
 
 
 class TestClassification:
