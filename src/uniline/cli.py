@@ -381,7 +381,7 @@ def _field_value(text: str, loc: fieldgen.Localization) -> Fraction:
     """Arithmetic over the localized field: + - * / ( ) and rational literals,
     read by precedence climbing over ``_ARITHMETIC``, with parentheses and
     unary minus nested at most ``_MAX_EXPR_NESTING`` deep."""
-    tokens = re.findall(r"\d+/\d+|\d+|[+\-*/()]", text)
+    tokens = re.findall(rf"{ordline.RATIONAL}|[+\-*/()]", text)
     if "".join(tokens).replace(" ", "") != text.replace(" ", ""):
         raise ValueError(f"invalid expression {text!r}")
     tokens.reverse()  # so that pop() takes the next token
@@ -406,8 +406,8 @@ def _field_value(text: str, loc: fieldgen.Localization) -> Fraction:
                     raise ValueError("unbalanced parentheses")
         else:
             try:
-                value = Fraction(token)
-            except (ValueError, ZeroDivisionError):
+                value = ordline.parse_rational(token)
+            except ValueError:
                 raise ValueError(f"invalid operand {token!r} in expression {text!r}") from None
         while tokens and tokens[-1] in _ARITHMETIC and _ARITHMETIC[tokens[-1]][0] >= least:
             power, law = _ARITHMETIC[tokens.pop()]
@@ -452,7 +452,7 @@ def _cmd_field(args) -> CommandResult:
             op, x, y = failure
             payload["witness"] = {"op": op, "x": _rat(x), "y": _rat(y)}
             return _result(args, 1, [f"iso {iso} fails {op} at ({_rat(x)}, {_rat(y)})"], payload)
-        return _result(args, 0, [f"iso: {iso} (verified on {args.samples} samples)"], payload)
+        return _result(args, 0, [f"iso: {iso} (decided exactly on 4 grid pairs)"], payload)
     factor = ordline.parse_rational(args.factor)
     interval = ordline.Interval(ordline.parse_rational(args.lo), ordline.parse_rational(args.hi))
     image = fieldgen.stretch_image(loc, factor, interval)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Union
 
-from .structures import FiniteStructure, Signature
+from .structures import _IDENT_RE, FiniteStructure, Signature
 from . import tables
 
 
@@ -146,7 +146,7 @@ def _render(formula: Formula, least: int) -> str:
 
 # --- parsing ------------------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"\s*(->|<->|[()=,~&|.]|[A-Za-z_][A-Za-z0-9_]*)")
+_TOKEN_RE = re.compile(rf"\s*(->|<->|[()=,~&|.]|{_IDENT_RE.pattern})")
 _KEYWORDS = {"forall", "exists"}
 
 
@@ -257,7 +257,7 @@ class _Parser:
 
 
 def _is_name(token: str) -> bool:
-    return bool(re.match(r"[A-Za-z_][A-Za-z0-9_]*\Z", token)) and token not in _KEYWORDS
+    return bool(_IDENT_RE.fullmatch(token)) and token not in _KEYWORDS
 
 
 def parse_formula(text: str, signature: Signature) -> Formula:
@@ -347,13 +347,12 @@ def _scan_plan(signature: Signature, size: int, n: int, depth: int):
     axes = {v: i for i, v in enumerate(variables)}
     bits = {v: 1 << k for k, v in enumerate(pool)}
     spc = tables.space(size, len(variables))
-    index = {name: k for k, name in enumerate(signature.names())}
     relation_atoms = []
     equality_atoms = []
     for atom in _atoms(signature, variables):
         mask = sum(bits.get(v, 0) for v in free_vars(atom))
         if isinstance(atom, Atom):
-            relation_atoms.append((atom, index[atom.relation], tuple(axes[v] for v in atom.args), mask))
+            relation_atoms.append((atom, signature.index[atom.relation], tuple(axes[v] for v in atom.args), mask))
         else:
             equality_atoms.append((atom, spc.equality_table(axes[atom.left], axes[atom.right]), mask))
     open_sets = tuple(tuple(v for v in pool if mask & bits[v]) for mask in range(1 << len(pool)))

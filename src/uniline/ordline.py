@@ -14,12 +14,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
+RATIONAL = r"[0-9]+(?:/[0-9]+)?"  # a literal less its sign, which ``field eval`` reads as an operator
+_RATIONAL_RE = re.compile(rf"[+-]?{RATIONAL}")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or an integer literal."""
+    """An optional sign, ASCII digits and an optional "/" with a nonzero denominator, spaces
+    around it allowed, each integer within Python's int-from-string digit limit (4,300)."""
+    numerator, _, denominator = text.partition("/")  # int() ignores the spaces
     try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"invalid rational {text!r}: {exc}") from None
+        if _RATIONAL_RE.fullmatch(text.strip()):
+            return Fraction(int(numerator), int(denominator or 1))
+    except (ValueError, ZeroDivisionError):  # too many digits, or a zero denominator
+        pass
+    raise ValueError(f"invalid rational {text!r}")
 
 
 def format_rational(value: Fraction) -> str:
@@ -127,9 +135,9 @@ class Interval:
 # --- affine parsing -----------------------------------------------------------
 
 _AFFINE_RE = re.compile(
-    r"""^\s*
-    (?:(?P<slope>[+-]?\d+(?:/0*[1-9]\d*)?)\s*\*\s*x | (?P<sign>[+-]?)\s*x)
-    \s*(?:(?P<op>[+-])\s*(?P<offset>\d+(?:/0*[1-9]\d*)?))?
+    rf"""^\s*
+    (?:(?P<slope>[+-]?{RATIONAL})\s*\*\s*x | (?P<sign>[+-]?)\s*x)
+    \s*(?:(?P<op>[+-])\s*(?P<offset>{RATIONAL}))?
     \s*$""",
     re.VERBOSE,
 )
@@ -138,18 +146,15 @@ _AFFINE_RE = re.compile(
 def parse_affine(text: str) -> AffineMap:
     """Parse "a*x+b", "x+b", "a*x", "-x", or "x" with rational coefficients."""
     match = _AFFINE_RE.match(text)
-    if not match:
-        raise ValueError(f"invalid affine map {text!r}")
-    if match.group("slope") is not None:
-        slope = Fraction(match.group("slope"))
-    else:
-        slope = Fraction(-1 if match.group("sign") == "-" else 1)
-    offset = Fraction(0)
-    if match.group("op"):
-        offset = Fraction(match.group("offset"))
-        if match.group("op") == "-":
-            offset = -offset
-    return AffineMap(slope, offset)
+    if match:
+        try:
+            slope = parse_rational(match["slope"] or match["sign"] + "1")
+            offset = parse_rational((match["op"] or "") + (match["offset"] or "0"))
+        except ValueError:  # a zero denominator, or too many digits
+            pass
+        else:
+            return AffineMap(slope, offset)
+    raise ValueError(f"invalid affine map {text!r}")
 
 
 def format_affine(affine: AffineMap) -> str:

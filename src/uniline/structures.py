@@ -13,9 +13,9 @@ import itertools
 import json
 import re
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class StructureError(ValueError):
@@ -30,36 +30,33 @@ class StructureError(ValueError):
 
 @dataclass(frozen=True)
 class Signature:
-    """Relation names with arities, in declaration order."""
+    """Relation names with arities, in declaration order; ``index`` maps each
+    name, in that order, to its position, and takes no part in equality."""
 
     relations: tuple[tuple[str, int], ...]
+    index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
+        index: dict[str, int] = {}
         for name, arity in self.relations:
-            if not _IDENT_RE.match(name):
+            if not _IDENT_RE.fullmatch(name):
                 raise StructureError(f"invalid relation name {name!r}")
-            if name in seen:
+            if name in index:
                 raise StructureError(f"duplicate relation {name!r}")
             if arity < 1:
                 raise StructureError(f"relation {name!r} must have arity >= 1")
-            seen.add(name)
+            index[name] = len(index)
+        object.__setattr__(self, "index", index)
 
     @classmethod
     def of(cls, **relations: int) -> "Signature":
         return cls(tuple(relations.items()))
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.relations)
-
     def arity(self, name: str) -> int:
-        for rel, arity in self.relations:
-            if rel == name:
-                return arity
-        raise KeyError(name)
+        return self.relations[self.index[name]][1]
 
     def __contains__(self, name: str) -> bool:
-        return any(rel == name for rel, _ in self.relations)
+        return name in self.index
 
 
 @functools.lru_cache(maxsize=64)
@@ -71,7 +68,7 @@ def _positions(universe: tuple[str, ...]) -> dict[str, int]:
         raise StructureError("universe must be non-empty")
     positions: dict[str, int] = {}
     for i, element in enumerate(universe):
-        if not _IDENT_RE.match(element):
+        if not _IDENT_RE.fullmatch(element):
             raise StructureError(f"invalid element identifier {element!r}")
         if element in positions:
             raise StructureError(f"duplicate universe element {element!r}")
@@ -119,14 +116,11 @@ class FiniteStructure:
         for name in relations:
             if name not in signature:
                 raise StructureError(f"unknown relation {name!r}")
-        interpretation = tuple(frozenset(tuple(t) for t in relations.get(name, ())) for name in signature.names())
+        interpretation = tuple(frozenset(tuple(t) for t in relations.get(name, ())) for name in signature.index)
         return cls(signature, tuple(universe), interpretation)
 
     def tuples(self, name: str) -> frozenset[tuple[str, ...]]:
-        for (rel, _), tuples in zip(self.signature.relations, self.interpretation):
-            if rel == name:
-                return tuples
-        raise KeyError(name)
+        return self.interpretation[self.signature.index[name]]
 
     def position(self, element: str) -> int:
         return self.universe.index(element)

@@ -83,8 +83,8 @@ def _certificate_rechecks(structure, n, ce) -> bool:
 
 
 def _isomorphic(first, second) -> bool:
-    names = first.signature.names()
-    if first.size() != second.size() or names != second.signature.names():
+    names = tuple(first.signature.index)
+    if first.size() != second.size() or names != tuple(second.signature.index):
         return False
     if any(len(first.tuples(r)) != len(second.tuples(r)) for r in names):
         return False

@@ -15,7 +15,7 @@ import uniline
 from uniline import cli, fieldgen
 from uniline.cli import main, render_output, run
 from uniline.corpus import biclique_2_3
-from uniline.ordline import AffineMap
+from uniline.ordline import AffineMap, format_rational, parse_rational
 from uniline.structures import render_structure
 
 CHAIN3_TEXT = """\
@@ -231,6 +231,65 @@ class TestExitCodes:
         assert witness["g_of_fx"] != witness["f_of_gx"]
 
 
+# Rational literals, each through the three readers of one grammar:
+# ``parse_rational``, ``line classify --map '<literal>*x'`` and ``field eval
+# --expr <literal>``.  ``field eval`` reads a sign as an operator, so a signed
+# literal is not one of its operands.
+UNSIGNED_LITERALS = {"3": Fraction(3), "0": Fraction(0), "3/7": Fraction(3, 7), "3/07": Fraction(3, 7),
+                     " 4 ": Fraction(4)}
+SIGNED_LITERALS = {"-2": Fraction(-2), "+5": Fraction(5)}
+# each rejected literal, with the error of ``field eval``: its tokenizer
+# refuses a character outside the grammar, and ``parse_rational`` an operand
+LONG_LITERAL = "1" * 4301  # past Python's 4,300-digit limit
+REJECTED_LITERALS = {
+    "1.5": "invalid expression '1.5'",
+    "1e3": "invalid expression '1e3'",
+    "1_0": "invalid expression '1_0'",
+    "\u0663": "invalid expression '\u0663'",
+    "3/0": "invalid operand '3/0' in expression '3/0'",
+    "0x1": "invalid expression '0x1'",
+    "": "unexpected end of expression",
+    LONG_LITERAL: f"invalid operand {LONG_LITERAL!r} in expression {LONG_LITERAL!r}",
+}
+
+
+def _read_three_ways(literal: str):
+    classify = run(["line", "classify", "--map", f"{literal}*x"])
+    evaluate = run(["field", "eval", "--zero", "1", "--one", "3", "--expr", literal])
+    return classify, evaluate
+
+
+class TestRationalLiterals:
+    @pytest.mark.parametrize("literal", [*UNSIGNED_LITERALS, *SIGNED_LITERALS])
+    def test_accepted(self, literal):
+        value = (UNSIGNED_LITERALS | SIGNED_LITERALS)[literal]
+        assert parse_rational(literal) == value
+        classify, evaluate = _read_three_ways(literal)
+        if value:
+            assert classify.exit_code == 0
+            assert classify.records[0]["map"] == str(AffineMap(value, Fraction(0)))
+        else:  # read, then refused as a slope
+            assert classify.lines == ["error: affine map must have nonzero slope"]
+        if literal in UNSIGNED_LITERALS:
+            assert evaluate.lines == [format_rational(value)]
+        elif literal == "-2":  # negation in the field whose zero is 1: 2*1 - 2
+            assert evaluate.lines == ["0"]
+        else:
+            assert evaluate.lines == ["error: invalid operand '+' in expression '+5'"]
+
+    @pytest.mark.parametrize("literal", REJECTED_LITERALS, ids=lambda literal: ascii(literal)[:12])
+    def test_rejected(self, literal):
+        with pytest.raises(ValueError) as raised:
+            parse_rational(literal)
+        classify, evaluate = _read_three_ways(literal)
+        errors = [str(raised.value), classify.records[0]["error"], evaluate.records[0]["error"]]
+        assert errors == [
+            f"invalid rational {literal!r}", f"invalid affine map {literal + '*x'!r}", REJECTED_LITERALS[literal]
+        ]
+        assert (classify.exit_code, evaluate.exit_code) == (2, 2)
+        assert not any("Fraction(" in error or "Exceeds the limit" in error for error in errors)
+
+
 class TestCommands:
     def test_field_eval(self):
         code, records = machine(["field", "eval", "--zero", "0", "--one", "2", "--expr", "2 * 3"])
@@ -310,6 +369,9 @@ class TestCommands:
         )
         assert code == 0
         assert records[0]["iso"] == "2*x + 1"
+        assert records[0]["samples"] == 50  # echoed, while the decision reads the grid
+        result = run(["field", "iso", "--zero1", "0", "--one1", "1", "--zero2", "1", "--one2", "3", "--samples", "50"])
+        assert result.lines == ["iso: 2*x + 1 (decided exactly on 4 grid pairs)"]
 
     def test_field_stretch(self):
         code, records = machine(
@@ -370,6 +432,19 @@ class TestCommands:
         )
         assert code == 0
         assert records[0]["classes"] == [[["a"]], [["b"]], [["c"]]]
+
+    @pytest.mark.parametrize(
+        "argv, literal",
+        [
+            (["cuts", "classify", "--oracle", "lt", "--target", "1/0"], "1/0"),
+            (["cyclic", "orient", "--points", "1/0,1,2"], "1/0"),
+            (["line", "tile", "--shift", "1e1000000", "--base", "0", "--window", "1"], "1e1000000"),
+        ],
+    )
+    def test_bad_rational_names_itself(self, argv, literal):
+        """The error is the reader's own, never ``Fraction``'s or Python's
+        int-to-string message, and an exponent is not evaluated."""
+        assert_error_exit(run(argv), " ".join(argv[:2]), f"invalid rational {literal!r}")
 
     @pytest.mark.parametrize("affine", ["1/0*x", "x+1/0"])
     def test_line_classify_zero_denominator_exits_two(self, affine):

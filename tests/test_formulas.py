@@ -3,6 +3,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +27,7 @@ from uniline.formulas import (
     semantic_items,
 )
 from uniline.corpus import biclique_2_3, digraphs_up_to_iso
-from uniline.structures import FiniteStructure, Signature
+from uniline.structures import FiniteStructure, Signature, StructureError
 from uniline.tables import space
 
 from oracles import _syntactic_items, constant_along, enumerate_formulas
@@ -89,6 +90,26 @@ class TestParsing:
             parse_formula("lt(x,,y)", SIG)
         with pytest.raises(FormulaError):
             parse_formula("exists . lt(x,y)", SIG)
+
+    @pytest.mark.parametrize("name", ["x", "_", "y_2", "Lt", "1a", "a-b", "\u00e9", "x\u00b2", "forall", ""])
+    def test_names_are_the_identifiers_of_structures(self, name):
+        """A formula's variables and relations are named as a structure's
+        relations and elements are, less the two keywords."""
+        identifier = re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name) is not None
+        try:
+            Signature(((name, 1),))
+        except StructureError:
+            assert not identifier
+        else:
+            assert identifier
+        relation = Signature(((name, 1),)) if identifier else SIG
+        for text, signature in ((f"{name} = {name}", SIG), (f"{name}(x)", relation)):
+            try:
+                parse_formula(text, signature)
+            except FormulaError:
+                assert not identifier or name == "forall"
+            else:
+                assert identifier and name != "forall"
 
 
 class TestNestingLimit:

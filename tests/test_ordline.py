@@ -39,14 +39,18 @@ class TestRationals:
     def test_parse_and_format(self):
         assert parse_rational("3/7") == Fraction(3, 7)
         assert parse_rational("-2") == Fraction(-2)
+        assert parse_rational(" +6/08 ") == Fraction(3, 4)
         assert format_rational(Fraction(6, 4)) == "3/2"
         assert format_rational(Fraction(5)) == "5"
 
     def test_parse_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_rational("3/0")
-        with pytest.raises(ValueError):
-            parse_rational("x")
+        """Only a sign, ASCII digits and "/" with a nonzero denominator: no
+        decimal point, exponent, underscore, other script's digit or base
+        prefix, and no integer past Python's 4,300-digit limit."""
+        for bad in ("3/0", "x", "1.5", "1e3", "1_0", "\u0663", "0x1", "", "- 3", "3/ 7", "1/2/3", "1" * 4301):
+            with pytest.raises(ValueError) as raised:
+                parse_rational(bad)
+            assert str(raised.value) == f"invalid rational {bad!r}"
 
 
 class TestAffineAlgebra:

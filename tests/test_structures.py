@@ -132,6 +132,20 @@ def test_tuple_set_count_must_match_signature(count):
 def test_tuples_of_unknown_name_is_key_error(chain3):
     with pytest.raises(KeyError):
         chain3.tuples("nope")
+    with pytest.raises(KeyError):
+        chain3.signature.arity("nope")
+    assert "nope" not in chain3.signature
+
+
+def test_signature_index_takes_no_part_in_equality():
+    """A signature is a cache key, so two built apart are equal and hash
+    alike; the index only names each relation's position."""
+    first, second = Signature.of(p=1, e=2), Signature((("p", 1), ("e", 2)))
+    assert first == second and hash(first) == hash(second) and first is not second
+    assert first.index == {"p": 0, "e": 1}
+    assert (first.arity("e"), "e" in first, "q" in first) == (2, True, False)
+    assert first != Signature.of(e=2, p=1)
+    assert "index" not in repr(first)
 
 
 @given(st.data())

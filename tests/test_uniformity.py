@@ -302,7 +302,7 @@ class TestOrbits:
 
         def key_multiset(structure, subset):
             fills = {element: [] for element in structure.universe}
-            for name in structure.signature.names():
+            for name in structure.signature.index:
                 for t in structure.tuples(name):
                     for k, element in enumerate(t):
                         fills[element].append((name, k))
