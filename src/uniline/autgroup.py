@@ -64,7 +64,9 @@ def _search_plan(structure: FiniteStructure, keys: list[tuple[int, ...]]) -> tup
     # tuples whose largest position is pos: positions are mapped in order, so
     # these are exactly the tuples that mapping pos completes
     closing: list[list[tuple[frozenset, tuple[int, ...]]]] = [[] for _ in keys]
-    for relation in structure.relation_positions():
+    position = _positions(structure.universe).__getitem__
+    for tuples in structure.interpretation:
+        relation = frozenset([tuple(map(position, t)) for t in tuples])
         for tup in relation:
             closing[max(tup)].append((relation, tup))
     alike: dict[tuple[int, ...], list[int]] = {}

@@ -183,8 +183,10 @@ class _Level:
         kind = self.options[string[2:]].kind
         if kind is int:
             try:
+                if not re.fullmatch(rf"[+-]?{ordline.DIGITS}", text.strip()):
+                    raise ValueError
                 return int(text)
-            except ValueError:
+            except ValueError:  # also over 4300 digits
                 raise _Stop(self, f"argument {string}: invalid int value: {text!r}") from None
         if isinstance(kind, tuple) and text not in kind:
             raise _Stop(self, f"argument {string}: invalid choice: {text!r} (choose from {', '.join(kind)})")
@@ -479,7 +481,9 @@ def _cmd_cyclic(args) -> CommandResult:
         cut = cyclic.parse_proj_point(args.cut)
         points = _proj_points(args.points)
         order = cyclic.linearize_at(cut)
-        ordered = order.sort(points)
+        ordered = order.sort(points)  # first, so that a cut point among the points keeps its own error
+        if len(set(points)) < len(points):
+            raise ValueError("linearize requires pairwise-distinct points")
         rendered = [cyclic.format_proj_point(p) for p in ordered]
         return _result(args, 0, [" < ".join(rendered)], {"cut": cyclic.format_proj_point(cut), "ordered": rendered})
     coefficients = [ordline.parse_rational(p) for p in args.map.split(",")]

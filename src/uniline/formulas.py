@@ -308,15 +308,6 @@ def _lookup(assignment: Mapping[str, str], var: str) -> str:
 # --- enumeration -----------------------------------------------------------------
 
 
-def _atoms(signature: Signature, variables: tuple[str, ...]) -> Iterator[Formula]:
-    for name, arity in signature.relations:
-        for args in itertools.product(variables, repeat=arity):
-            yield Atom(name, args)
-    for left in variables:
-        for right in variables:
-            yield Equal(left, right)
-
-
 class SemanticItem(NamedTuple):
     """A representative formula with its truth table over one structure.
 
@@ -335,29 +326,30 @@ class SemanticItem(NamedTuple):
 @lru_cache(maxsize=None)
 def _scan_plan(signature: Signature, size: int, n: int, depth: int):
     """The part of a scan's set-up that does not read the structure: the
-    space of ``x1..xn`` and the pool ``y1..y{depth}``, each relation atom
-    with its relation index, its axes and the bit mask of its pool
-    variables, each equality atom with its table and mask, and for each
-    mask, its open set (the pool variables of its bits, in pool order) and
-    ``(var, axis, mask without var)`` for each of them.  The equality tables
-    number at most ``n + depth`` squared, no more than the space's own axis
-    masks, since ``n <= size``."""
+    space of ``x1..xn`` and the pool ``y1..y{depth}``; in the canonical atom
+    order, each relation atom with its relation index, its axes and the bit
+    mask of its pool variables, then each equality atom with its table and
+    mask; and for each mask, its open set (the pool variables of its bits,
+    in pool order) and ``(var, axis, mask without var)`` for each of them.
+    The equality tables number at most ``n + depth`` squared, no more than
+    the space's own axis masks, since ``n <= size``."""
     pool = tuple(f"y{i}" for i in range(1, depth + 1))
     variables = tuple(f"x{i}" for i in range(1, n + 1)) + pool
     axes = {v: i for i, v in enumerate(variables)}
     bits = {v: 1 << k for k, v in enumerate(pool)}
     spc = tables.space(size, len(variables))
-    relation_atoms = []
-    equality_atoms = []
-    for atom in _atoms(signature, variables):
-        mask = sum(bits.get(v, 0) for v in free_vars(atom))
-        if isinstance(atom, Atom):
-            relation_atoms.append((atom, signature.index[atom.relation], tuple(axes[v] for v in atom.args), mask))
-        else:
-            equality_atoms.append((atom, spc.equality_table(axes[atom.left], axes[atom.right]), mask))
+    relation_atoms = tuple(
+        (Atom(name, args), rel, tuple(axes[v] for v in args), sum(bits.get(v, 0) for v in set(args)))
+        for rel, (name, arity) in enumerate(signature.relations)
+        for args in itertools.product(variables, repeat=arity)
+    )
+    equality_atoms = tuple(
+        (Equal(left, right), spc.equality_table(axes[left], axes[right]), bits.get(left, 0) | bits.get(right, 0))
+        for left, right in itertools.product(variables, repeat=2)
+    )
     open_sets = tuple(tuple(v for v in pool if mask & bits[v]) for mask in range(1 << len(pool)))
     binds = tuple(tuple((v, axes[v], mask ^ bits[v]) for v in open_set) for mask, open_set in enumerate(open_sets))
-    return spc, tuple(relation_atoms), tuple(equality_atoms), open_sets, binds
+    return spc, relation_atoms, equality_atoms, open_sets, binds
 
 
 def semantic_items(structure: FiniteStructure, n: int, max_depth: int) -> Iterator[SemanticItem]:

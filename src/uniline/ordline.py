@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 
-RATIONAL = r"[0-9]+(?:/[0-9]+)?"  # a literal less its sign, which ``field eval`` reads as an operator
+DIGITS = r"[0-9]+"  # ASCII only: int() alone also reads "1_0" and other scripts' digits, such as "٣"
+RATIONAL = rf"{DIGITS}(?:/{DIGITS})?"  # a literal less its sign, which ``field eval`` reads as an operator
 _RATIONAL_RE = re.compile(rf"[+-]?{RATIONAL}")
 
 

@@ -15,6 +15,8 @@ import re
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
+from .ordline import DIGITS
+
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
@@ -124,11 +126,6 @@ class FiniteStructure:
 
     def position(self, element: str) -> int:
         return self.universe.index(element)
-
-    def relation_positions(self) -> list[frozenset[tuple[int, ...]]]:
-        """Each relation's tuples as tuples of universe positions, in signature order."""
-        position = _positions(self.universe).__getitem__
-        return [frozenset([tuple(map(position, t)) for t in tuples]) for tuples in self.interpretation]
 
     def size(self) -> int:
         return len(self.universe)
@@ -247,10 +244,10 @@ def _parse_text(text: str) -> FiniteStructure:
                 raise StructureError(f"expected name/arity, got {entry!r}", lineno)
             name, _, arity_text = entry.partition("/")
             try:
-                if not arity_text.isdigit():
+                if not re.fullmatch(DIGITS, arity_text):
                     raise ValueError
                 relations.append((name, int(arity_text)))
-            except ValueError:  # also a digit int() does not read ("²"), or over 4300 of them
+            except ValueError:  # also over 4300 digits
                 raise StructureError(f"arity must be a positive integer in {entry!r}", lineno) from None
     signature = Signature(tuple(relations))
 

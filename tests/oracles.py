@@ -96,7 +96,7 @@ def _syntactic_items(
 def brute_force_automorphisms(structure: FiniteStructure) -> list[tuple[int, ...]]:
     """All automorphisms, as image tuples, by filtering every permutation of
     the universe, in lexicographic order; the relations are read element by
-    element, not through ``relation_positions``."""
+    element, not through ``structures._positions``."""
     relations = [
         frozenset(tuple(structure.position(e) for e in t) for t in tuples)
         for tuples in structure.interpretation

@@ -632,6 +632,14 @@ OPTION_COMMANDS = {
 OPTION_TEXT = st.text() | st.text(alphabet="0123456789/+-*() ,:.xinf-lqst", max_size=40)
 
 
+# a command line per integer option, with "{}" for its value
+INTEGER_OPTIONS = {
+    "window": ["line", "tile", "--shift", "1", "--base", "0", "--window", "{}"],
+    "seed": ["--seed", "{}", "line", "classify", "--map", "x"],
+    "samples": ["field", "verify", "--zero", "0", "--one", "1", "--samples", "{}"],
+}
+
+
 class TestExitContract:
     @pytest.mark.parametrize("kind", OPTION_COMMANDS)
     @given(text=OPTION_TEXT)
@@ -664,6 +672,20 @@ class TestExitContract:
     def test_cut_point_among_points_is_bad_input(self, cut, points):
         result = run(["cyclic", "linearize", "--cut", cut, "--points", points])
         assert_error_exit(result, "cyclic linearize", "cannot compare the cut point with itself")
+
+    @pytest.mark.parametrize("cut, points", [("inf", "1,1"), ("0", "1,2,1"), ("0", "inf,1,inf"), ("inf", "1,2/2")])
+    def test_repeated_points_are_bad_input(self, cut, points):
+        result = run(["cyclic", "linearize", "--cut", cut, "--points", points])
+        assert_error_exit(result, "cyclic linearize", "linearize requires pairwise-distinct points")
+
+    @pytest.mark.parametrize("option", INTEGER_OPTIONS)
+    @pytest.mark.parametrize("text", ["\u0663", "1_0", "\u00b2", " 1_0 ", "1" * 4301], ids=lambda t: ascii(t)[:12])
+    def test_integer_option_is_ascii_digits(self, capsys, option, text):
+        argv = [text if token == "{}" else token for token in INTEGER_OPTIONS[option]]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(f": error: argument --{option}: invalid int value: {text!r}\n")
 
     @pytest.mark.parametrize(
         "argv",

@@ -3,8 +3,9 @@ argparse tree it replaced, and help at every level of the command table.
 
 ``_ArgumentParser`` and ``_parser`` below are the argparse parser that
 ``uniline.cli`` used before its command table, kept verbatim as the
-reference.  The table parser must agree with it on every command line: both
-print help and exit 0, both exit 2, or both read the same namespace.
+reference except that its integer options read ``_integer``, not all that
+``int`` reads.  The table parser must agree with it on every command line:
+both print help and exit 0, both exit 2, or both read the same namespace.
 """
 
 from __future__ import annotations
@@ -41,13 +42,21 @@ class _ArgumentParser(argparse.ArgumentParser):
         return super()._get_values(action, arg_strings)
 
 
+def _integer(text: str) -> int:
+    """An optional sign and ASCII digits, spaces around them allowed; ``int``
+    alone also reads "1_0" and other scripts' digits, such as "\u0663"."""
+    if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """Built once per process, on the first ``run``; each parse still
     returns a fresh namespace."""
     parser = _ArgumentParser(prog="uniline", description=cli.__doc__)
     parser.add_argument("--format", choices=("text", "machine"), default="text")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_integer, default=0)
     commands = parser.add_subparsers(dest="command", required=True)
 
     structure = commands.add_parser("structure").add_subparsers(dest="action", required=True)
@@ -58,14 +67,14 @@ def _parser() -> argparse.ArgumentParser:
     sa.add_argument("--structure", required=True)
     so = structure.add_parser("orbits")
     so.add_argument("--structure", required=True)
-    so.add_argument("--n", type=int, required=True)
+    so.add_argument("--n", type=_integer, required=True)
     so.add_argument("--mode", choices=("tuples", "subsets"), default="subsets")
 
     un = commands.add_parser("uniformity")
     un.add_argument("--structure", required=True)
-    un.add_argument("--n", type=int, required=True)
+    un.add_argument("--n", type=_integer, required=True)
     un.add_argument("--method", choices=("schema", "orbits", "both"), default="both")
-    un.add_argument("--depth", type=int, default=2)
+    un.add_argument("--depth", type=_integer, default=2)
 
     line = commands.add_parser("line").add_subparsers(dest="action", required=True)
     lc = line.add_parser("classify")
@@ -76,7 +85,7 @@ def _parser() -> argparse.ArgumentParser:
     lt = line.add_parser("tile")
     lt.add_argument("--shift", required=True)
     lt.add_argument("--base", required=True)
-    lt.add_argument("--window", type=int, required=True)
+    lt.add_argument("--window", type=_integer, required=True)
     lf = line.add_parser("factor")
     lf.add_argument("--map", required=True)
     lf.add_argument("--shift", required=True)
@@ -94,13 +103,13 @@ def _parser() -> argparse.ArgumentParser:
     fv = fld.add_parser("verify")
     fv.add_argument("--zero", required=True)
     fv.add_argument("--one", required=True)
-    fv.add_argument("--samples", type=int, default=1000)
+    fv.add_argument("--samples", type=_integer, default=1000)
     fi = fld.add_parser("iso")
     fi.add_argument("--zero1", required=True)
     fi.add_argument("--one1", required=True)
     fi.add_argument("--zero2", required=True)
     fi.add_argument("--one2", required=True)
-    fi.add_argument("--samples", type=int, default=1000)
+    fi.add_argument("--samples", type=_integer, default=1000)
     fs = fld.add_parser("stretch")
     fs.add_argument("--zero", required=True)
     fs.add_argument("--one", required=True)
@@ -116,7 +125,7 @@ def _parser() -> argparse.ArgumentParser:
     cl.add_argument("--points", required=True)
     cm = cyc.add_parser("mobius")
     cm.add_argument("--map", required=True, help="a,b,c,d for (a*x+b)/(c*x+d)")
-    cm.add_argument("--triples", type=int, default=20)
+    cm.add_argument("--triples", type=_integer, default=20)
 
     cut = commands.add_parser("cuts").add_subparsers(dest="action", required=True)
     cr = cut.add_parser("rays")
@@ -126,10 +135,10 @@ def _parser() -> argparse.ArgumentParser:
     cc = cut.add_parser("classify")
     cc.add_argument("--oracle", choices=("lt", "le", "sq-lt"), required=True)
     cc.add_argument("--target", required=True)
-    cc.add_argument("--bound", type=int, default=10**6)
+    cc.add_argument("--bound", type=_integer, default=10**6)
     cp = cut.add_parser("probe")
     cp.add_argument("--cut", action="append", required=True, metavar="KIND:TARGET")
-    cp.add_argument("--bound", type=int, default=10**6)
+    cp.add_argument("--bound", type=_integer, default=10**6)
     return parser
 
 
@@ -159,6 +168,7 @@ def spelled(kind) -> str:
 ODD_VALUES = [
     "", "-", "--", "-h", "-hh", "-h=h", "-h=", "-hx", "--x", "--x y", "-- x", "-1/2", "-x", "=", "a=b",
     "--map=1", "x y", "--help", "--he", "--=x", "--one", "0", "7", "-3", " 5", "+2", "1_0", "x", "both",
+    "\u0663", "\u00b2", " +07 ",
 ]
 # arguments dropped anywhere in a command line
 NOISE = [
@@ -254,6 +264,7 @@ class TestGrammar:
             (["field", "iso", "--zero1", "4", "--one1", "1", "--zero2", "3", "--one2", "2", "--s", "9"], {"samples": 9}),
             (["--f", "machine", "--seed=-4", "line", "classify", "--map", "x"], {"format": "machine", "seed": -4}),
             (["uniformity", "--s", "f", "--n", " 3 ", "--m", "orbits"], {"n": 3, "method": "orbits", "depth": 2}),
+            (["--seed", " +07 ", "line", "classify", "--map", "x"], {"seed": 7}),
         ],
     )
     def test_accepted(self, argv, read):
@@ -280,6 +291,9 @@ class TestGrammar:
             ["line"],
             ["bogus"],
             [],
+            ["line", "tile", "--shift", "1", "--base", "0", "--window", "\u0663"],
+            ["line", "tile", "--shift", "1", "--base", "0", "--window", "1_0"],
+            ["--seed", "\u00b2", "line", "classify", "--map", "x"],
         ],
     )
     def test_rejected(self, argv):

@@ -234,6 +234,10 @@ def _json(**changes) -> str:
         ("signature\n  e/2 e2\nuniverse\n  a\n", "line 2: expected name/arity, got 'e2'"),
         ("signature\n  e/x\nuniverse\n  a\n", "line 2: arity must be a positive integer in 'e/x'"),
         ("signature\n  e/²\nuniverse\n  a\n", "line 2: arity must be a positive integer in 'e/²'"),
+        # an arity is ASCII digits alone: no other script's digits, no underscore, no sign
+        ("signature\n  e/\u0663\nuniverse\n  a\n", "line 2: arity must be a positive integer in 'e/\u0663'"),
+        ("signature\n  e/1_0\nuniverse\n  a\n", "line 2: arity must be a positive integer in 'e/1_0'"),
+        ("signature\n  e/+2\nuniverse\n  a\n", "line 2: arity must be a positive integer in 'e/+2'"),
         ("signature\n  e/0\nuniverse\n  a\n", "relation 'e' must have arity >= 1"),
         ("signature\n  e/2\nuniverse\n  a\nrelations\n  e (a,a)\n", "line 6: expected 'name: (tuple) ...', got 'e (a,a)'"),
         ("signature\n  e/2\nuniverse\n  a\nrelations\n  f: (a,a)\n", "line 6: unknown relation 'f'"),
